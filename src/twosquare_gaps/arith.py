@@ -29,12 +29,15 @@ def sieve_primes(limit: int) -> list[int]:
     Odd-only sieve of Eratosthenes on a numpy bool array.  limit above
     2**32 raises CapacityError rather than attempting to allocate.
     """
+    return _prime_array(limit).tolist()
+
+
+def _prime_array(limit: int) -> np.ndarray:
+    # sieve_primes as an int64 array, for callers that stay in numpy
     if limit > _SIEVE_LIMIT_CAP:
         raise CapacityError(f"sieve limit {limit} exceeds {_SIEVE_LIMIT_CAP}")
-    if limit < 2:
-        return []
-    if limit == 2:
-        return [2]
+    if limit < 3:
+        return np.arange(2, limit + 1, dtype=np.int64)
     # index i represents the odd number 2*i + 1; index 0 (the number 1) unused
     half = (limit + 1) // 2
     mask = np.ones(half, dtype=bool)
@@ -45,8 +48,8 @@ def sieve_primes(limit: int) -> list[int]:
             start = (p * p) // 2
             if start < half:
                 mask[start::p] = False
-    odds = (2 * np.nonzero(mask)[0] + 1).tolist()
-    return [2] + odds
+    odds = 2 * np.nonzero(mask)[0].astype(np.int64) + 1
+    return np.concatenate((np.array([2], dtype=np.int64), odds))
 
 
 _small_primes: list[int] | None = None

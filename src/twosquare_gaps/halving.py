@@ -184,7 +184,10 @@ def find_gap_interval(
         )
     delta, threshold = _checked_delta(c, delta)
     halved = halved_modulus(c, delta)
-    small = small_part(c, threshold)
+    # primes <= threshold at the trimmed exponents the halved modulus keeps
+    small = FactoredInteger(
+        factors=tuple((p, e) for p, e in halved.factors if p <= threshold)
+    )
     a0 = reduced_shift(c, halved)
     v = halved.value()
     degenerate = halved.factors == c.modulus.factors

@@ -1,14 +1,18 @@
 """Empirical record-gap scanner over the sums of two squares.
 
-Segmented: each window is sieved independently (parallelizable), then a
-single sequential merge pass extracts record gaps, so the output is
-byte-identical for any segment size or worker count.
+Segmented: each window is marked independently by the parity sieve
+(oracle.membership_sieve), and a single sequential merge pass extracts
+record gaps in window order, so the output is byte-identical for any
+segment size or worker count.  With threads > 1 segments are sieved in
+a thread pool with at most 2*threads of them in flight, which bounds
+memory to a few segments whatever the limit.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -38,8 +42,9 @@ class GapRecord:
 
 
 def _segment_members(lo: int, hi: int) -> np.ndarray:
-    bits = membership_sieve(lo, hi)
-    return np.nonzero(bits)[0] + lo
+    members = np.flatnonzero(membership_sieve(lo, hi))
+    members += lo
+    return members
 
 
 def scan_records(
@@ -56,10 +61,10 @@ def scan_records(
         raise ValueError("limit must be >= 2")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
-    windows = [
+    windows = (
         (lo, min(lo + segment_size - 1, limit))
         for lo in range(1, limit + 1, segment_size)
-    ]
+    )
     records: list[GapRecord] = []
     prev = None
     best = 0
@@ -91,9 +96,14 @@ def scan_records(
             merge(_segment_members(lo, hi))
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            # ordered waves: futures resolve out of order, merge stays ordered
-            for fut in [pool.submit(_segment_members, lo, hi) for lo, hi in windows]:
-                merge(fut.result())
+            # at most 2*threads segments in flight, merged in window order
+            pending: deque[Future[np.ndarray]] = deque()
+            for lo, hi in windows:
+                pending.append(pool.submit(_segment_members, lo, hi))
+                if len(pending) == 2 * threads:
+                    merge(pending.popleft().result())
+            while pending:
+                merge(pending.popleft().result())
     return records
 
 

@@ -183,6 +183,11 @@ class TestFindGapInterval:
         assert not res.degenerate
         assert res.chosen_n not in res.bad_n
 
+    def test_small_part_is_trimmed(self, richards20):
+        # the field follows halved_modulus (7^2), not the Richards modulus (7^3)
+        res = find_gap_interval(richards20, HALF)
+        assert res.small_part.factors == ((3, 4), (7, 2))
+
     def test_y10_interval_is_member_free(self, richards10):
         lo, hi = find_gap_interval(richards10, HALF).interval
         assert hi < 10**9

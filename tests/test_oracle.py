@@ -198,6 +198,8 @@ class TestMembershipSieve:
         with pytest.raises(CapacityError):
             membership_sieve(1, (1 << 26) + 1)
         with pytest.raises(CapacityError):
+            membership_sieve((1 << 50) + 1, (1 << 50) + 2)
+        with pytest.raises(CapacityError):
             membership_sieve((1 << 62) + 1, (1 << 62) + 2)
 
 

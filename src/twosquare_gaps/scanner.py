@@ -3,16 +3,13 @@
 Segmented: each window is marked independently by the parity sieve
 (oracle.membership_sieve), and a single sequential merge pass extracts
 record gaps in window order, so the output is byte-identical for any
-segment size or worker count.  With threads > 1 segments are sieved in
-a thread pool with at most 2*threads of them in flight, which bounds
-memory to a few segments whatever the limit.
+segment size.  Segments are sieved and merged one at a time, so memory
+stays one segment deep whatever the limit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,31 +52,24 @@ def scan_records(
     """All record gaps (s_prev, s_next, gap) with s_next <= limit.
 
     The scan starts at 1, the first member, so (1, 2, 1) is always the
-    first record.  Output is independent of segment_size and threads.
+    first record.  Output is independent of segment_size.  threads is
+    accepted and ignored: every value runs the same sequential loop,
+    because a thread pool over segments scanned slower than one thread.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
-    windows = (
-        (lo, min(lo + segment_size - 1, limit))
-        for lo in range(1, limit + 1, segment_size)
-    )
     records: list[GapRecord] = []
     prev = None
     best = 0
-
-    def merge(members: np.ndarray) -> None:
-        nonlocal prev, best
-        if len(members) == 0:
-            return
-        start = 0
-        if prev is None:
-            prev = int(members[0])
-            start = 1
-        chunk = members[start:]
+    for lo in range(1, limit + 1, segment_size):
+        chunk = _segment_members(lo, min(lo + segment_size - 1, limit))
+        if prev is None and len(chunk):
+            prev = int(chunk[0])
+            chunk = chunk[1:]
         if len(chunk) == 0:
-            return
+            continue
         # gaps within the chunk plus the carried gap across the boundary
         gaps = np.diff(chunk, prepend=prev)
         running = np.maximum.accumulate(gaps)
@@ -90,20 +80,6 @@ def scan_records(
                 left = prev if i == 0 else int(chunk[i - 1])
                 records.append(GapRecord(left, int(chunk[i]), g))
         prev = int(chunk[-1])
-
-    if threads <= 1:
-        for lo, hi in windows:
-            merge(_segment_members(lo, hi))
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            # at most 2*threads segments in flight, merged in window order
-            pending: deque[Future[np.ndarray]] = deque()
-            for lo, hi in windows:
-                pending.append(pool.submit(_segment_members, lo, hi))
-                if len(pending) == 2 * threads:
-                    merge(pending.popleft().result())
-            while pending:
-                merge(pending.popleft().result())
     return records
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,6 +149,37 @@ def valuation(n: int, p: int) -> int:
     return k
 
 
+# Digits one str()/int() call converts, well below CPython's 4300-digit
+# int<->str limit (sys.set_int_max_str_digits, CVE-2020-10735)
+_DECIMAL_CHUNK = 1000
+
+
+@lru_cache(maxsize=None)
+def _pow10(k: int) -> int:
+    return 10**k
+
+
+def _int_to_decimal(n: int) -> str:
+    """str(n) for n >= 0 at any size, by splitting at 10**(chunk * 2**i)."""
+    k = _DECIMAL_CHUNK
+    if n < _pow10(k):
+        return str(n)
+    while n >= _pow10(2 * k):
+        k *= 2
+    hi, lo = divmod(n, _pow10(k))
+    return _int_to_decimal(hi) + _int_to_decimal(lo).zfill(k)
+
+
+def _decimal_to_int(text: str) -> int:
+    """int(text) for a string of decimal digits at any length."""
+    k = _DECIMAL_CHUNK
+    if len(text) <= k:
+        return int(text)
+    while 2 * k < len(text):
+        k *= 2
+    return _decimal_to_int(text[:-k]) * _pow10(k) + _decimal_to_int(text[-k:])
+
+
 def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m, in [0, m).  Raises ValueError if gcd(a, m) != 1."""
     if m < 1:
@@ -191,7 +223,9 @@ def _iroot(n: int, k: int) -> int:
 def _brent_rho(n: int, effort: int, seed: int) -> int | None:
     """One nontrivial factor of composite odd n, or None if effort ran out.
 
-    Brent's cycle variant with batched gcd.  effort counts squarings mod n.
+    Brent's cycle variant with batched gcd.  effort counts the squarings
+    mod n in the gcd batches and in the replay after a batch overshoots;
+    no new batch starts once it is spent.
     """
     rng = random.Random(n * 1_000_003 + seed)
     remaining = effort
@@ -206,7 +240,7 @@ def _brent_rho(n: int, effort: int, seed: int) -> int | None:
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
-            while k < r and g == 1:
+            while k < r and g == 1 and remaining > 0:
                 ys = y
                 steps = min(m, r - k, remaining)
                 for _ in range(steps):
@@ -221,6 +255,7 @@ def _brent_rho(n: int, effort: int, seed: int) -> int | None:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
+                remaining -= 1
                 g = math.gcd(abs(x - ys), n)
         if 1 < g < n:
             return g
@@ -324,6 +359,14 @@ class FactoredInteger:
                 raise ValueError(f"{p} is not prime")
             seen.add(p)
             prev = p
+
+    @classmethod
+    def _trusted(cls, factors: tuple[tuple[int, int], ...]) -> FactoredInteger:
+        # for factor lists the library builds from primes it already knows
+        # (a sieve or a validated modulus): skips the is_prime checks
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "factors", factors)
+        return obj
 
     @classmethod
     def from_pairs(cls, pairs) -> FactoredInteger:

@@ -14,6 +14,7 @@ so every command pipes cleanly.  Exit codes are part of the interface:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from .construction import (
 from .halving import (
     NoGoodIntervalError,
     efficiency_report,
+    efficiency_row,
     find_gap_interval,
     halving_result_to_json,
 )
@@ -120,7 +122,7 @@ def _cmd_halve(args: argparse.Namespace) -> int:
             "single interval at n=0",
             file=sys.stderr,
         )
-    row = efficiency_report([args.y], delta=args.delta)[0]
+    row = efficiency_row(c, res)
     print(
         f"e_plain={row[3]:.4f} e_halved={row[4]:.4f} ratio={row[5]:.4f}",
         file=sys.stderr,
@@ -144,7 +146,9 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="twosquare-gaps",
         description="Covering constructions and gap scans for sums of two squares",

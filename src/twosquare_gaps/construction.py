@@ -4,17 +4,24 @@ congruence certificate.
 
 The verifier never factors a + j.  All valuations are computed modulo the
 prime powers of P, so verification cost scales with the modulus
-description, not with the size of a.
+description, not with the size of a.  For each prime p of P the
+residue walk visits only the offsets j = -a (mod p), sum y/p steps over
+all primes; the halving module reuses the same walk.  Shifts are written
+and read in decimal at any size, past CPython's int<->str digit limit.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .arith import (
     DEFAULT_EFFORT,
     FactoredInteger,
+    _decimal_to_int,
+    _int_to_decimal,
     integer_log,
     mod_inverse,
     sieve_primes,
@@ -23,6 +30,7 @@ from .arith import (
 from .oracle import Member, NonMember, OddValuation, TwoPowerForm, Unknown, classify
 
 ORACLE_VALUE_LIMIT = 10**18
+_LOG10_2 = math.log10(2)
 
 
 class InadmissibleModulusError(ValueError):
@@ -35,6 +43,12 @@ class InadmissibleModulusError(ValueError):
 
 class ShiftRangeError(ValueError):
     """Shift outside [1, value(P)]."""
+
+
+def _check_admissible(modulus: FactoredInteger) -> None:
+    for p, _ in modulus.factors:
+        if p != 2 and p % 4 != 3:
+            raise InadmissibleModulusError(p)
 
 
 @dataclass(frozen=True)
@@ -53,12 +67,10 @@ class Construction:
     def __post_init__(self) -> None:
         if self.y < 1:
             raise ValueError("y must be >= 1")
-        for p, _ in self.modulus.factors:
-            if p != 2 and p % 4 != 3:
-                raise InadmissibleModulusError(p)
+        _check_admissible(self.modulus)
         if not 1 <= self.shift <= self.modulus.value():
             raise ShiftRangeError(
-                f"shift {self.shift} not in [1, value(P)]"
+                f"shift {_int_to_decimal(self.shift)} not in [1, value(P)]"
             )
 
 
@@ -99,7 +111,7 @@ def richards_modulus(y: int) -> FactoredInteger:
         for p in sieve_primes(bound)
         if p % 4 == 3
     ]
-    return FactoredInteger(factors=tuple(factors))
+    return FactoredInteger._trusted(tuple(factors))
 
 
 def richards_shift(modulus: FactoredInteger) -> int:
@@ -115,41 +127,55 @@ def richards_construction(y: int) -> Construction:
     return Construction(y=y, modulus=modulus, shift=richards_shift(modulus))
 
 
-def _certificate_from_residues(
-    offset: int,
-    odd_parts: list[tuple[int, int, int]],
-    two_part: tuple[int, int] | None,
-) -> CoveringCertificate | None:
-    # odd_parts: (p, p**e, shift mod p**e) ascending; two_part: (e2, shift mod 2**e2)
-    for p, pe, rbase in odd_parts:
-        r = (rbase + offset) % pe
-        if r == 0:
-            continue  # valuation not pinned by the modulus, certificate unusable
-        k = valuation(r, p)
-        if k % 2 == 1:
-            return CoveringCertificate(offset, OddValuation(p, k))
-    if two_part is not None:
-        e2, rbase = two_part
-        r = (rbase + offset) % (1 << e2)
-        if r:
-            k = valuation(r, 2)
-            if k + 2 <= e2 and (r >> k) % 4 == 3:
-                return CoveringCertificate(offset, TwoPowerForm(k))
-    return None
+def _offset_residues(
+    shift: int, y: int, p: int, pe: int
+) -> Iterator[tuple[int, int]]:
+    """(j, (shift + j) mod pe) for each offset 1 <= j <= y with p | shift + j,
+    ascending; pe is a power of the prime p.
+
+    Those offsets are the progression j = -shift (mod p), so the walk
+    takes y/p steps and reduces the shift modulo pe once.
+    """
+    r = shift % pe
+    j = (-r) % p or p
+    r = (r + j) % pe
+    while j <= y:
+        yield j, r
+        j += p
+        r += p
+        if r >= pe:
+            r -= pe
 
 
-def _residue_tables(
-    c: Construction,
-) -> tuple[list[tuple[int, int, int]], tuple[int, int] | None]:
-    odd_parts = []
-    two_part = None
+def _covering_table(c: Construction) -> list[CoveringCertificate | None]:
+    """Certificate of each offset 1..y at its index (index 0 unused), None
+    where no condition matches.
+
+    Odd primes are walked in ascending order and an offset keeps the first
+    odd valuation the modulus pins (shift + j not 0 mod p^e); only offsets
+    still open are tried against the two-power condition.
+    """
+    table: list[CoveringCertificate | None] = [None] * (c.y + 1)
+    e2 = 0
     for p, e in c.modulus.factors:
-        pe = p**e
         if p == 2:
-            two_part = (e, c.shift % pe)
-        else:
-            odd_parts.append((p, pe, c.shift % pe))
-    return odd_parts, two_part
+            e2 = e
+            continue
+        for j, r in _offset_residues(c.shift, c.y, p, p**e):
+            if r and table[j] is None:
+                k = valuation(r, p)
+                if k % 2 == 1:
+                    table[j] = CoveringCertificate(j, OddValuation(p, k))
+    if e2:
+        rbase = c.shift % (1 << e2)
+        for j in range(1, c.y + 1):
+            if table[j] is None:
+                r = (rbase + j) % (1 << e2)
+                if r:
+                    k = valuation(r, 2)
+                    if k + 2 <= e2 and (r >> k) % 4 == 3:
+                        table[j] = CoveringCertificate(j, TwoPowerForm(k))
+    return table
 
 
 def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | None:
@@ -160,22 +186,15 @@ def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | 
     """
     if not 1 <= offset <= c.y:
         raise ValueError("offset must be in [1, y]")
-    odd_parts, two_part = _residue_tables(c)
-    return _certificate_from_residues(offset, odd_parts, two_part)
+    return _covering_table(c)[offset]
 
 
 def verify_covering(c: Construction) -> CoveringReport:
-    """Check all offsets 1..y.  Stops at the least uncovered offset."""
-    odd_parts, two_part = _residue_tables(c)
-    certs: list[CoveringCertificate] = []
-    for offset in range(1, c.y + 1):
-        cert = _certificate_from_residues(offset, odd_parts, two_part)
-        if cert is None:
-            return CoveringReport(
-                y=c.y, certificates=tuple(certs), first_uncovered=offset
-            )
-        certs.append(cert)
-    return CoveringReport(y=c.y, certificates=tuple(certs), first_uncovered=None)
+    """Check all offsets 1..y; the report ends at the least uncovered one."""
+    table = _covering_table(c)
+    first = next((j for j in range(1, c.y + 1) if table[j] is None), None)
+    certs = table[1:] if first is None else table[1:first]
+    return CoveringReport(y=c.y, certificates=tuple(certs), first_uncovered=first)
 
 
 @dataclass(frozen=True)
@@ -239,7 +258,7 @@ def construction_to_json(c: Construction) -> str:
     obj = {
         "y": c.y,
         "factors": [[p, e] for p, e in c.modulus.factors],
-        "a": str(c.shift),
+        "a": _int_to_decimal(c.shift),
     }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -266,4 +285,10 @@ def construction_from_json(text: str) -> Construction:
     if not isinstance(a_text, str) or not a_text.isdigit():
         raise ValueError("a must be a decimal string")
     modulus = FactoredInteger.from_pairs(raw)
-    return Construction(y=y, modulus=modulus, shift=int(a_text))
+    # a in range has at most as many digits as value(P) < 2**bits; a longer
+    # string is rejected, in Construction's order, before it is converted
+    digits = a_text.lstrip("0")
+    if len(digits) > modulus.value().bit_length() * _LOG10_2 + 1:
+        _check_admissible(modulus)
+        raise ShiftRangeError(f"shift {digits} not in [1, value(P)]")
+    return Construction(y=y, modulus=modulus, shift=_decimal_to_int(a_text))

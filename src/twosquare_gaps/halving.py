@@ -11,6 +11,11 @@ The shift is reduced modulo the new modulus, and the interval family
 lo = 1 + a0 + n*value(halved) is screened for indices n where some
 element would pick up a square factor of a large prime; the least
 surviving n gives the certified interval.
+
+Both the exponents and the screen run on the construction module's
+per-prime residue walk (offsets j = -shift mod p only).
+find_gap_interval verifies the covering and builds the halved modulus
+once, and the screen reuses that modulus.
 """
 
 from __future__ import annotations
@@ -20,12 +25,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import DEFAULT_EFFORT, FactoredInteger, mod_inverse, prime_count, valuation
+from .arith import (
+    DEFAULT_EFFORT,
+    FactoredInteger,
+    _int_to_decimal,
+    mod_inverse,
+    prime_count,
+    valuation,
+)
 from .construction import (
     ORACLE_VALUE_LIMIT,
     Construction,
     CoveringCertificate,
     ElementCheck,
+    _offset_residues,
     richards_construction,
     verify_covering,
 )
@@ -58,31 +71,21 @@ def small_part(c: Construction, threshold: int) -> FactoredInteger:
     """Sub-product of the modulus over primes <= threshold, exponents kept."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    return FactoredInteger(
-        factors=tuple((p, e) for p, e in c.modulus.factors if p <= threshold)
+    return FactoredInteger._trusted(
+        tuple((p, e) for p, e in c.modulus.factors if p <= threshold)
     )
 
 
-def _max_odd_valuation(c: Construction, p: int) -> int:
-    """Largest odd valuation of p in shift + j, 1 <= j <= y, pinned by the
-    modulus (shift + j not 0 mod p^e); 0 if there is none.
-
-    Only offsets with p | shift + j can have one, so the scan strides by p.
-    """
-    e = c.modulus.exponent(p)
-    if p == 2 or e == 0:
-        raise ValueError("p must be an odd prime of the modulus")
-    pe = p**e
-    rbase = c.shift % pe
+def _max_odd_valuation(c: Construction, p: int, e: int) -> int:
+    """Largest odd valuation of the odd modulus prime p (exponent e) in
+    shift + j, 1 <= j <= y, pinned by the modulus (shift + j not 0 mod
+    p^e); 0 if there is none."""
     best = 0
-    j = (-c.shift) % p or p
-    while j <= c.y:
-        r = (rbase + j) % pe
+    for _, r in _offset_residues(c.shift, c.y, p, p**e):
         if r:
             k = valuation(r, p)
             if k % 2 == 1 and k > best:
                 best = k
-        j += p
     return best
 
 
@@ -91,7 +94,10 @@ def has_odd_cover(c: Construction, p: int) -> bool:
 
     True means the prime is still needed after halving.
     """
-    return _max_odd_valuation(c, p) > 0
+    e = c.modulus.exponent(p)
+    if p == 2 or e == 0:
+        raise ValueError("p must be an odd prime of the modulus")
+    return _max_odd_valuation(c, p, e) > 0
 
 
 def _checked_delta(c: Construction, delta) -> tuple[Fraction, int]:
@@ -117,19 +123,47 @@ def halved_modulus(c: Construction, delta) -> FactoredInteger:
         if p == 2:
             factors.append((p, e))
             continue
-        k = _max_odd_valuation(c, p)
+        k = _max_odd_valuation(c, p, e)
         if k:
             factors.append((p, k + 1 if p <= threshold else 1))
-    return FactoredInteger(factors=tuple(factors))
+    return FactoredInteger._trusted(tuple(factors))
 
 
 def reduced_shift(c: Construction, halved: FactoredInteger) -> int:
     """Representative of shift mod value(halved) in (0, value(halved)]."""
+    full = dict(c.modulus.factors)
     for p, e in halved.factors:
-        if c.modulus.exponent(p) < e:
+        if full.get(p, 0) < e:
             raise ValueError("halved modulus must divide the construction modulus")
     v = halved.value()
     return c.shift % v or v
+
+
+def _exceptional_pairs(
+    y: int, halved: FactoredInteger, a0: int, threshold: int
+) -> list[tuple[int, int, int | None]]:
+    # exceptional_pairs on a halved modulus and reduced shift already built
+    v = halved.value()
+    pairs: list[tuple[int, int, int | None]] = []
+    for p, e in halved.factors:
+        if p <= threshold:
+            continue
+        assert e == 1
+        pp = p * p
+        # (value/p) mod p and ((a0 + j)/p) mod p, read off residues mod p^2
+        cofactor_inv = mod_inverse(v % pp // p, p)
+        for j, r in _offset_residues(a0, y, p, pp):
+            n = (-(r // p) * cofactor_inv) % p
+            pairs.append((j, p, n if n <= threshold else None))
+    return pairs
+
+
+def _bad_set(
+    y: int, halved: FactoredInteger, a0: int, threshold: int
+) -> frozenset[int]:
+    return frozenset(
+        n for _, _, n in _exceptional_pairs(y, halved, a0, threshold) if n is not None
+    )
 
 
 def exceptional_pairs(c: Construction, delta) -> list[tuple[int, int, int | None]]:
@@ -139,23 +173,9 @@ def exceptional_pairs(c: Construction, delta) -> list[tuple[int, int, int | None
     n = -((a0+j)/p) * (value/p)^-1 mod p, recorded when it lands in
     [0, floor(delta*y)] and None otherwise.
     """
-    delta, threshold = _checked_delta(c, delta)
+    _, threshold = _checked_delta(c, delta)
     halved = halved_modulus(c, delta)
-    a0 = reduced_shift(c, halved)
-    v = halved.value()
-    pairs: list[tuple[int, int, int | None]] = []
-    for p, e in halved.factors:
-        if p <= threshold:
-            continue
-        assert e == 1
-        cofactor_inv = mod_inverse(v // p, p)
-        j = (-a0) % p or p
-        while j <= c.y:
-            t = (a0 + j) // p
-            n = (-t * cofactor_inv) % p
-            pairs.append((j, p, n if n <= threshold else None))
-            j += p
-    return pairs
+    return _exceptional_pairs(c.y, halved, reduced_shift(c, halved), threshold)
 
 
 def enumerate_bad_n(c: Construction, delta) -> frozenset[int]:
@@ -185,18 +205,18 @@ def find_gap_interval(
     delta, threshold = _checked_delta(c, delta)
     halved = halved_modulus(c, delta)
     # primes <= threshold at the trimmed exponents the halved modulus keeps
-    small = FactoredInteger(
-        factors=tuple((p, e) for p, e in halved.factors if p <= threshold)
+    small = FactoredInteger._trusted(
+        tuple((p, e) for p, e in halved.factors if p <= threshold)
     )
-    a0 = reduced_shift(c, halved)
     v = halved.value()
+    a0 = c.shift % v or v
     degenerate = halved.factors == c.modulus.factors
 
     if degenerate:
         bad: frozenset[int] = frozenset()
         chosen = 0
     else:
-        bad = enumerate_bad_n(c, delta)
+        bad = _bad_set(c.y, halved, a0, threshold)
         chosen = next((n for n in range(threshold + 1) if n not in bad), None)
         if chosen is None:
             raise NoGoodIntervalError(bad)
@@ -208,7 +228,7 @@ def find_gap_interval(
         element = base + cert.offset
         checks.append(
             _transferred_check(
-                c, halved, threshold, cert, element, effort, run_oracle_limit, seed
+                threshold, cert, element, effort, run_oracle_limit, seed
             )
         )
     return HalvingResult(
@@ -226,8 +246,6 @@ def find_gap_interval(
 
 
 def _transferred_check(
-    c: Construction,
-    halved: FactoredInteger,
     threshold: int,
     cert: CoveringCertificate,
     element: int,
@@ -236,17 +254,16 @@ def _transferred_check(
     seed: int,
 ) -> ElementCheck:
     nm = cert.certificate
+    failure = "certificate does not hold"
     if isinstance(nm, OddValuation) and nm.p > threshold:
         # large prime: the halved modulus pins only one factor of p, so the
-        # certificate becomes valuation exactly 1; confirm p*p does not
-        # divide the element rather than trusting the bad-set bookkeeping
-        if element % nm.p != 0 or element % (nm.p * nm.p) == 0:
-            raise AssertionError(
-                f"large-prime transfer failed at offset {cert.offset}"
-            )
+        # certificate becomes valuation exactly 1; holds_for confirms p*p
+        # does not divide the element rather than trusting the bad-set
+        # bookkeeping
         nm = OddValuation(nm.p, 1)
+        failure = "large-prime transfer failed"
     if not nm.holds_for(element):
-        raise AssertionError(f"certificate does not hold at offset {cert.offset}")
+        raise AssertionError(f"{failure} at offset {cert.offset}")
     if oracle_limit is None or element <= oracle_limit:
         verdict = classify(element, effort=effort, seed=seed)
         if isinstance(verdict, Member):
@@ -269,13 +286,17 @@ def efficiency_report(ys: list[int], delta=Fraction(1, 2)) -> list[tuple]:
     rows = []
     for y in ys:
         c = richards_construction(y)
-        res = find_gap_interval(c, delta)
-        ln_plain = math.log(c.shift + y)
-        ln_halved = math.log(res.interval[1])
-        e_plain = y / ln_plain
-        e_halved = y / ln_halved
-        rows.append((y, ln_plain, ln_halved, e_plain, e_halved, e_halved / e_plain))
+        rows.append(efficiency_row(c, find_gap_interval(c, delta)))
     return rows
+
+
+def efficiency_row(c: Construction, res: HalvingResult) -> tuple:
+    """The efficiency_report row of a construction and its halving result."""
+    ln_plain = math.log(c.shift + c.y)
+    ln_halved = math.log(res.interval[1])
+    e_plain = c.y / ln_plain
+    e_halved = c.y / ln_halved
+    return (c.y, ln_plain, ln_halved, e_plain, e_halved, e_halved / e_plain)
 
 
 def small_prime_contribution(c: Construction, eps, check_bound: bool = True) -> float:
@@ -309,10 +330,10 @@ def halving_result_to_json(res: HalvingResult) -> str:
     obj = {
         "delta": str(res.delta),
         "halved_modulus": [[p, e] for p, e in res.halved_modulus.factors],
-        "a0": str(res.a0),
+        "a0": _int_to_decimal(res.a0),
         "bad_n": sorted(res.bad_n),
         "chosen_n": res.chosen_n,
-        "interval": [str(res.interval[0]), str(res.interval[1])],
+        "interval": [_int_to_decimal(v) for v in res.interval],
         "certificates": cert_rows,
     }
     return json.dumps(obj, indent=2) + "\n"

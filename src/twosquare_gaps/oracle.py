@@ -65,7 +65,10 @@ class OddValuation:
         _checked_cert_prime(self.p)
 
     def holds_for(self, n: int) -> bool:
-        return n >= 1 and valuation(n, self.p) == self.k
+        # v_p(n) == k: p^k divides n and p^(k+1) does not; two remainders
+        # instead of k + 1 divisions of a possibly huge n
+        pk = self.p**self.k
+        return n >= 1 and n % pk == 0 and n % (pk * self.p) != 0
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,18 @@
+import decimal
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twosquare_gaps.arith import (
     CapacityError,
     FactoredInteger,
+    _brent_rho,
+    _decimal_to_int,
+    _int_to_decimal,
     factorize,
     integer_log,
     is_prime,
@@ -15,6 +21,7 @@ from twosquare_gaps.arith import (
     sieve_primes,
     valuation,
 )
+from twosquare_gaps.oracle import Unknown, classify
 
 
 def naive_is_prime(n):
@@ -175,6 +182,102 @@ class TestFactorize:
             assert is_prime(p)
             prod *= p**e
         assert prod == n
+
+
+class Overrun(Exception):
+    pass
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise Overrun in the body once `seconds` have passed (SIGALRM)."""
+    if not hasattr(signal, "setitimer"):
+        pytest.skip("needs SIGALRM")
+
+    def on_alarm(signum, frame):
+        raise Overrun
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# semiprimes whose factors are all above the 2**16 trial-division bound
+SEMIPRIMES = (
+    1000033 * 3000029,
+    65537 * 65539,
+    999983 * 1000003,
+    1000000007 * 998244353,
+    4294967291 * 4294967279,
+)
+
+
+class TestBrentRhoBudget:
+    def test_every_effort_up_to_200_returns(self):
+        for n in SEMIPRIMES:
+            for effort in range(201):
+                with deadline(2.0):
+                    d = _brent_rho(n, effort, 0)
+                assert d is None or (1 < d < n and n % d == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from(SEMIPRIMES),
+        effort=st.integers(min_value=0, max_value=200),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @example(n=1000033 * 3000029, effort=50, seed=0)
+    def test_factorize_returns_within_budget(self, n, effort, seed):
+        with deadline(2.0):
+            fac = factorize(n, effort=effort, seed=seed)
+        assert fac.residual in (1, n)
+
+    def test_effort_50_classify(self):
+        # the budget used to run out partway through a batch and spin
+        n = 1000033 * 3000029
+        with deadline(2.0):
+            verdict = classify(n, effort=50)
+        assert verdict == Unknown(n)
+
+    def test_doubling_boundary_budget_unchanged(self):
+        # effort = 63 = 1 + 2 + ... + 32 ends exactly at a doubling round;
+        # semiprimes of two primes = 1 (mod 4), as in the benchmark's
+        # budget requests
+        for n in (
+            54118549 * 88082497,
+            56699693 * 98121869,
+            60082153 * 86842909,
+            58977473 * 85709837,
+        ):
+            assert classify(n, effort=63) == Unknown(n)
+
+
+class TestDecimalText:
+    @settings(max_examples=200)
+    @given(st.integers(min_value=0, max_value=10**4299))
+    def test_matches_str_below_limit(self, n):
+        assert _int_to_decimal(n) == str(n)
+        assert _decimal_to_int(str(n)) == n
+
+    def test_matches_decimal_above_limit(self):
+        for n in (
+            10**1000 - 1,
+            10**1000,
+            10**2000 + 1,
+            10**4300,
+            10**9000 - 1,
+            7**12345 + 10**3000,
+            (10**4500 + 1) * 10**2500,
+        ):
+            text = _int_to_decimal(n)
+            # decimal.Decimal converts ints without the int<->str limit
+            assert text == str(decimal.Decimal(n))
+            assert _decimal_to_int(text) == n
+            assert _decimal_to_int("000" + text) == n
 
 
 class TestFactoredInteger:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -5,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import twosquare_gaps.cli as cli
+import twosquare_gaps.halving as halving
 from twosquare_gaps.construction import construction_to_json, richards_construction
 from twosquare_gaps.halving import NoGoodIntervalError, find_gap_interval
 
@@ -198,3 +200,78 @@ def test_pipe_round_trip(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(out))
     code, out, _ = run(capsys, "verify")
     assert code == 0 and "covered: 10/10" in out
+
+
+def md5_of(path) -> str:
+    return hashlib.md5(path.read_bytes()).hexdigest()
+
+
+class TestGoldenOutput:
+    """Output files pinned byte for byte; the digests were taken before the
+    covering and halving moved onto the per-prime residue walk."""
+
+    @pytest.mark.parametrize(
+        "y, digest, ratio_line",
+        [
+            (10, "821dc2681be52b005f3ee25a490cca44",
+             "e_plain=0.3255 e_halved=0.5567 ratio=1.7102"),
+            (96, "2534ba1f1043e900a405c84cbf0e0422",
+             "e_plain=0.2452 e_halved=0.4382 ratio=1.7869"),
+            (591, "b11e3f55cb27c7bbb91d682c7b616164",
+             "e_plain=0.2495 e_halved=0.4461 ratio=1.7876"),
+            (2300, "3f483bbe6f8ea1103241bdbf9c2a0c74",
+             "e_plain=0.2508 e_halved=0.4479 ratio=1.7860"),
+        ],
+    )
+    def test_halve(self, capsys, tmp_path, y, digest, ratio_line):
+        target = tmp_path / "halve.json"
+        code, out, err = run(capsys, "halve", "--y", str(y), "--out", str(target))
+        assert (code, out, err) == (0, "", ratio_line + "\n")
+        assert md5_of(target) == digest
+
+    def test_richards_and_verify_591(self, capsys, tmp_path):
+        doc, report = tmp_path / "c.json", tmp_path / "v.txt"
+        assert run(capsys, "richards", "--y", "591", "--out", str(doc)) == (0, "", "")
+        assert md5_of(doc) == "785c52d92dddceb1500dd4800be008f3"
+        assert run(capsys, "verify", str(doc), "--out", str(report)) == (0, "", "")
+        assert md5_of(report) == "1d244c4233be000ccd7a98b0bf447b66"
+
+    def test_bounds(self, capsys, tmp_path):
+        target = tmp_path / "bounds.csv"
+        code, _, err = run(
+            capsys, "bounds", "--y-list", "10,20,50,100,200,500", "--out", str(target)
+        )
+        assert code == 0
+        assert err == "reference rates: 195/449 = 0.434298, 390/449 = 0.868597\n"
+        assert md5_of(target) == "c5d5124e8e065fae6463a15a9184f820"
+
+
+def test_richards_above_str_digit_limit(capsys, tmp_path):
+    # the shift at Y = 2600 has more than 4300 decimal digits, CPython's
+    # default int<->str limit
+    doc, report = tmp_path / "c.json", tmp_path / "v.txt"
+    assert run(capsys, "richards", "--y", "2600", "--out", str(doc)) == (0, "", "")
+    assert len(json.loads(doc.read_text())["a"]) > 4300
+    assert run(capsys, "verify", str(doc), "--out", str(report)) == (0, "", "")
+    assert report.read_text().splitlines()[-1] == "covered: 2600/2600"
+
+
+def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
+    calls = {}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(halving, "verify_covering")
+    counted(halving, "halved_modulus")
+    counted(cli, "find_gap_interval")
+    target = tmp_path / "halve.json"
+    code, _, _ = run(capsys, "halve", "--y", "50", "--out", str(target))
+    assert code == 0
+    assert calls == {"verify_covering": 1, "halved_modulus": 1, "find_gap_interval": 1}

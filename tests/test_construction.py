@@ -188,6 +188,36 @@ class TestConstructionJson:
         with pytest.raises(ShiftRangeError):
             construction_from_json('{"y": 1, "factors": [[3, 2]], "a": "10"}')
 
+    def test_round_trip_above_str_digit_limit(self):
+        # the shift at Y = 2600 has more than CPython's default 4300 digits
+        c = richards_construction(2600)
+        text = construction_to_json(c)
+        assert len(json.loads(text)["a"]) > 4300
+        assert construction_from_json(text) == c
+
+    def test_long_shift_rejected_before_conversion(self, monkeypatch):
+        import twosquare_gaps.construction as construction_mod
+
+        def no_conversion(text):
+            raise AssertionError("converted an out-of-range shift")
+
+        monkeypatch.setattr(construction_mod, "_decimal_to_int", no_conversion)
+        doc = '{"y": 1, "factors": [[3, 2]], "a": "%s"}'
+        with pytest.raises(ShiftRangeError) as exc:
+            construction_from_json(doc % ("7" * 100_000))
+        assert str(exc.value) == f"shift {'7' * 100_000} not in [1, value(P)]"
+        # admissibility is still checked first, as in Construction
+        with pytest.raises(InadmissibleModulusError):
+            construction_from_json(doc.replace("3, 2", "5, 1") % ("7" * 100_000))
+        monkeypatch.undo()
+        with pytest.raises(ShiftRangeError) as exc:
+            construction_from_json(doc % "10")  # converted, then out of range
+        assert str(exc.value) == "shift 10 not in [1, value(P)]"
+
+    def test_leading_zeros_do_not_count(self):
+        text = '{"y": 1, "factors": [[3, 2]], "a": "%s9"}' % ("0" * 10_000)
+        assert construction_from_json(text).shift == 9
+
 
 def test_modulus_growth_window():
     for y in range(50, 501, 50):

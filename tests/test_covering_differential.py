@@ -1,0 +1,220 @@
+"""Differential test: the per-prime residue walk against per-offset scans.
+
+verify_covering, halved_modulus and exceptional_pairs walk each modulus
+prime's offsets j = -shift (mod p) once.  The reference functions below
+are the per-offset and per-prime scans they replaced, kept here as
+test-only reference code: the covering tries every prime for every
+offset in ascending order, and the halving references are the stride
+scans of each prime on its own, with the exceptional pairs' quotients
+and cofactors taken from the full integers.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twosquare_gaps.arith import FactoredInteger, mod_inverse, sieve_primes, valuation
+from twosquare_gaps.construction import (
+    Construction,
+    CoveringCertificate,
+    CoveringReport,
+    covering_certificate,
+    richards_construction,
+    verify_covering,
+)
+from twosquare_gaps.halving import exceptional_pairs, halved_modulus, has_odd_cover
+from twosquare_gaps.oracle import OddValuation, TwoPowerForm
+
+DELTAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+def reference_certificate(c: Construction, offset: int) -> CoveringCertificate | None:
+    # odd primes in ascending order, then the two-power condition
+    two = None
+    for p, e in c.modulus.factors:
+        pe = p**e
+        if p == 2:
+            two = (e, c.shift % pe)
+            continue
+        r = (c.shift % pe + offset) % pe
+        if r == 0:
+            continue  # valuation not pinned by the modulus
+        k = valuation(r, p)
+        if k % 2 == 1:
+            return CoveringCertificate(offset, OddValuation(p, k))
+    if two is not None:
+        e2, rbase = two
+        r = (rbase + offset) % (1 << e2)
+        if r:
+            k = valuation(r, 2)
+            if k + 2 <= e2 and (r >> k) % 4 == 3:
+                return CoveringCertificate(offset, TwoPowerForm(k))
+    return None
+
+
+def reference_covering(c: Construction) -> CoveringReport:
+    certs = []
+    for offset in range(1, c.y + 1):
+        cert = reference_certificate(c, offset)
+        if cert is None:
+            return CoveringReport(c.y, tuple(certs), offset)
+        certs.append(cert)
+    return CoveringReport(c.y, tuple(certs), None)
+
+
+def reference_max_odd_valuation(c: Construction, p: int) -> int:
+    # strides by p from the least offset with p | shift + j
+    pe = p ** c.modulus.exponent(p)
+    rbase = c.shift % pe
+    best = 0
+    j = (-c.shift) % p or p
+    while j <= c.y:
+        r = (rbase + j) % pe
+        if r:
+            k = valuation(r, p)
+            if k % 2 == 1 and k > best:
+                best = k
+        j += p
+    return best
+
+
+def reference_halved_modulus(c: Construction, delta) -> FactoredInteger:
+    threshold = math.floor(Fraction(delta) * c.y)
+    factors = []
+    for p, e in c.modulus.factors:
+        if p == 2:
+            factors.append((p, e))
+            continue
+        k = reference_max_odd_valuation(c, p)
+        if k:
+            factors.append((p, k + 1 if p <= threshold else 1))
+    return FactoredInteger(tuple(factors))
+
+
+def reference_exceptional_pairs(c: Construction, delta) -> list:
+    # (a0 + j) // p and value // p as full integers
+    threshold = math.floor(Fraction(delta) * c.y)
+    halved = reference_halved_modulus(c, delta)
+    v = halved.value()
+    a0 = c.shift % v or v
+    pairs = []
+    for p, _ in halved.factors:
+        if p <= threshold:
+            continue
+        cofactor_inv = mod_inverse(v // p, p)
+        j = (-a0) % p or p
+        while j <= c.y:
+            n = (-((a0 + j) // p) * cofactor_inv) % p
+            pairs.append((j, p, n if n <= threshold else None))
+            j += p
+    return pairs
+
+
+def assert_same_covering(c: Construction) -> None:
+    assert verify_covering(c) == reference_covering(c)
+
+
+class TestCovering:
+    def test_richards_up_to_300(self, richards_sweep):
+        for c in richards_sweep[:300]:
+            assert_same_covering(c)
+
+    @pytest.mark.parametrize("y", [500, 1000, 2300, 2850])
+    def test_richards_large(self, y):
+        assert_same_covering(richards_construction(y))
+
+    def test_two_power_factor(self):
+        for y, shift in ((5, 90), (2, 37), (7, 1), (12, 100)):
+            c = Construction(y=y, modulus=FactoredInteger(((2, 4), (3, 2))), shift=shift)
+            assert_same_covering(c)
+
+    def test_uncovered_offsets(self):
+        # a Richards modulus with a shifted shift leaves holes; the report
+        # must stop at the same offset with the same certificate prefix
+        holes = 0
+        for y in (10, 50, 200):
+            base = richards_construction(y)
+            for delta in (1, 2, 5, 11):
+                shift = (base.shift + delta) % base.modulus.value() or 1
+                c = Construction(y=y, modulus=base.modulus, shift=shift)
+                got, want = verify_covering(c), reference_covering(c)
+                holes += want.first_uncovered is not None
+                assert got == want
+        assert holes >= 6
+        hole = Construction(y=1, modulus=FactoredInteger(((3, 1),)), shift=2)
+        assert verify_covering(hole) == reference_covering(hole)
+
+    def test_two_power_with_holes(self):
+        m = FactoredInteger(((2, 5), (3, 3), (7, 2), (11, 1)))
+        for shift in range(1, 400, 7):
+            assert_same_covering(Construction(y=20, modulus=m, shift=shift))
+
+
+ODD_PRIMES_3_MOD_4 = [p for p in sieve_primes(60) if p % 4 == 3]
+
+
+@st.composite
+def small_constructions(draw):
+    primes = draw(
+        st.lists(st.sampled_from(ODD_PRIMES_3_MOD_4), min_size=1, max_size=6, unique=True)
+    )
+    factors = [(p, draw(st.integers(1, 4))) for p in sorted(primes)]
+    e2 = draw(st.integers(0, 6))
+    if e2:
+        factors.insert(0, (2, e2))
+    modulus = FactoredInteger(tuple(factors))
+    shift = draw(st.integers(1, modulus.value()))
+    y = draw(st.integers(1, 40))
+    return Construction(y=y, modulus=modulus, shift=shift)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_constructions())
+def test_small_constructions(c):
+    assert_same_covering(c)
+    for j in range(1, c.y + 1):
+        assert covering_certificate(c, j) == reference_certificate(c, j)
+    for delta in DELTAS:
+        if delta * c.y > 2:
+            assert halved_modulus(c, delta) == reference_halved_modulus(c, delta)
+            assert exceptional_pairs(c, delta) == reference_exceptional_pairs(c, delta)
+
+
+class TestHalving:
+    def test_halved_modulus_up_to_500(self, richards_sweep):
+        for c in richards_sweep:
+            for delta in DELTAS:
+                if delta * c.y <= 2:
+                    continue
+                assert halved_modulus(c, delta) == reference_halved_modulus(c, delta)
+
+    def test_exceptional_pairs_up_to_500(self, richards_sweep):
+        for c in richards_sweep:
+            for delta in DELTAS:
+                if delta * c.y <= 2:
+                    continue
+                assert exceptional_pairs(c, delta) == reference_exceptional_pairs(c, delta)
+
+    def test_has_odd_cover(self, richards_sweep):
+        for c in richards_sweep[:100]:
+            for p, _ in c.modulus.factors:
+                assert has_odd_cover(c, p) == (reference_max_odd_valuation(c, p) > 0)
+
+    def test_two_power_factor(self):
+        c = Construction(y=5, modulus=FactoredInteger(((2, 4), (3, 2))), shift=90)
+        delta = Fraction(7, 10)
+        assert halved_modulus(c, delta) == reference_halved_modulus(c, delta)
+        assert exceptional_pairs(c, delta) == reference_exceptional_pairs(c, delta)
+
+    def test_prime_divides_shift(self):
+        # offset 0 is outside the walk even when p | shift; Richards
+        # shifts never have this (4a = -1 mod P)
+        m = FactoredInteger(((3, 2), (7, 2), (11, 1), (19, 1)))
+        for shift in (21, 231, 63 * 19, 3 * 7 * 11 * 19):
+            c = Construction(y=12, modulus=m, shift=shift)
+            for delta in DELTAS:
+                assert halved_modulus(c, delta) == reference_halved_modulus(c, delta)
+                assert exceptional_pairs(c, delta) == reference_exceptional_pairs(c, delta)

@@ -230,8 +230,10 @@ class TestFindGapInterval:
     def test_no_good_n(self, richards10, monkeypatch):
         import twosquare_gaps.halving as halving_mod
 
+        # find_gap_interval takes its bad set from the halved modulus it
+        # already built, through the private _bad_set
         monkeypatch.setattr(
-            halving_mod, "enumerate_bad_n", lambda c, d: frozenset(range(6))
+            halving_mod, "_bad_set", lambda *args: frozenset(range(6))
         )
         with pytest.raises(NoGoodIntervalError) as exc:
             find_gap_interval(richards10, HALF)

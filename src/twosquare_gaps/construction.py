@@ -128,18 +128,18 @@ def richards_construction(y: int) -> Construction:
 
 
 def _offset_residues(
-    shift: int, y: int, p: int, pe: int
+    shift: int, lo: int, hi: int, p: int, pe: int
 ) -> Iterator[tuple[int, int]]:
-    """(j, (shift + j) mod pe) for each offset 1 <= j <= y with p | shift + j,
-    ascending; pe is a power of the prime p.
+    """(j, (shift + j) mod pe) for each offset lo <= j <= hi with
+    p | shift + j, ascending; pe is a power of the prime p.
 
     Those offsets are the progression j = -shift (mod p), so the walk
-    takes y/p steps and reduces the shift modulo pe once.
+    takes (hi - lo)/p steps and reduces the shift modulo pe once.
     """
     r = shift % pe
-    j = (-r) % p or p
+    j = lo + (-(r + lo)) % p
     r = (r + j) % pe
-    while j <= y:
+    while j <= hi:
         yield j, r
         j += p
         r += p
@@ -147,34 +147,36 @@ def _offset_residues(
             r -= pe
 
 
-def _covering_table(c: Construction) -> list[CoveringCertificate | None]:
-    """Certificate of each offset 1..y at its index (index 0 unused), None
-    where no condition matches.
+def _covering_table(
+    c: Construction, lo: int, hi: int
+) -> list[CoveringCertificate | None]:
+    """Certificate of each offset lo..hi (at index j - lo), None where no
+    condition matches.
 
     Odd primes are walked in ascending order and an offset keeps the first
     odd valuation the modulus pins (shift + j not 0 mod p^e); only offsets
     still open are tried against the two-power condition.
     """
-    table: list[CoveringCertificate | None] = [None] * (c.y + 1)
+    table: list[CoveringCertificate | None] = [None] * (hi - lo + 1)
     e2 = 0
     for p, e in c.modulus.factors:
         if p == 2:
             e2 = e
             continue
-        for j, r in _offset_residues(c.shift, c.y, p, p**e):
-            if r and table[j] is None:
+        for j, r in _offset_residues(c.shift, lo, hi, p, p**e):
+            if r and table[j - lo] is None:
                 k = valuation(r, p)
                 if k % 2 == 1:
-                    table[j] = CoveringCertificate(j, OddValuation(p, k))
+                    table[j - lo] = CoveringCertificate(j, OddValuation(p, k))
     if e2:
         rbase = c.shift % (1 << e2)
-        for j in range(1, c.y + 1):
-            if table[j] is None:
+        for j in range(lo, hi + 1):
+            if table[j - lo] is None:
                 r = (rbase + j) % (1 << e2)
                 if r:
                     k = valuation(r, 2)
                     if k + 2 <= e2 and (r >> k) % 4 == 3:
-                        table[j] = CoveringCertificate(j, TwoPowerForm(k))
+                        table[j - lo] = CoveringCertificate(j, TwoPowerForm(k))
     return table
 
 
@@ -186,14 +188,14 @@ def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | 
     """
     if not 1 <= offset <= c.y:
         raise ValueError("offset must be in [1, y]")
-    return _covering_table(c)[offset]
+    return _covering_table(c, offset, offset)[0]
 
 
 def verify_covering(c: Construction) -> CoveringReport:
     """Check all offsets 1..y; the report ends at the least uncovered one."""
-    table = _covering_table(c)
-    first = next((j for j in range(1, c.y + 1) if table[j] is None), None)
-    certs = table[1:] if first is None else table[1:first]
+    table = _covering_table(c, 1, c.y)
+    first = next((j for j, cert in enumerate(table, 1) if cert is None), None)
+    certs = table if first is None else table[: first - 1]
     return CoveringReport(y=c.y, certificates=tuple(certs), first_uncovered=first)
 
 

@@ -81,7 +81,7 @@ def _max_odd_valuation(c: Construction, p: int, e: int) -> int:
     shift + j, 1 <= j <= y, pinned by the modulus (shift + j not 0 mod
     p^e); 0 if there is none."""
     best = 0
-    for _, r in _offset_residues(c.shift, c.y, p, p**e):
+    for _, r in _offset_residues(c.shift, 1, c.y, p, p**e):
         if r:
             k = valuation(r, p)
             if k % 2 == 1 and k > best:
@@ -152,7 +152,7 @@ def _exceptional_pairs(
         pp = p * p
         # (value/p) mod p and ((a0 + j)/p) mod p, read off residues mod p^2
         cofactor_inv = mod_inverse(v % pp // p, p)
-        for j, r in _offset_residues(a0, y, p, pp):
+        for j, r in _offset_residues(a0, 1, y, p, pp):
             n = (-(r // p) * cofactor_inv) % p
             pairs.append((j, p, n if n <= threshold else None))
     return pairs

@@ -53,14 +53,9 @@ def _prime_array(limit: int) -> np.ndarray:
     return np.concatenate((np.array([2], dtype=np.int64), odds))
 
 
-_small_primes: list[int] | None = None
-
-
+@lru_cache(maxsize=None)
 def _small_prime_table() -> list[int]:
-    global _small_primes
-    if _small_primes is None:
-        _small_primes = sieve_primes(_SMALL_PRIME_LIMIT)
-    return _small_primes
+    return sieve_primes(_SMALL_PRIME_LIMIT)
 
 
 def prime_count(x: int) -> int:
@@ -348,7 +343,6 @@ class FactoredInteger:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        seen: set[int] = set()
         prev = 0
         for p, e in self.factors:
             if p <= prev:
@@ -357,7 +351,6 @@ class FactoredInteger:
                 raise ValueError(f"exponent of {p} must be >= 1")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-            seen.add(p)
             prev = p
 
     @classmethod

@@ -27,7 +27,7 @@ from .arith import (
     sieve_primes,
     valuation,
 )
-from .oracle import Member, NonMember, OddValuation, TwoPowerForm, Unknown, classify
+from .oracle import Member, NonMember, OddValuation, TwoPowerForm, classify
 
 ORACLE_VALUE_LIMIT = 10**18
 _LOG10_2 = math.log10(2)
@@ -211,6 +211,39 @@ class ElementCheck:
     oracle: str
 
 
+def _check_element(
+    offset: int,
+    element: int,
+    certificate: OddValuation | TwoPowerForm,
+    run_oracle: bool,
+    effort: int,
+    seed: int,
+) -> ElementCheck:
+    """Check one certified element twice: re-check its certificate on the
+    integer itself, then, when run_oracle is set, cross-check it with the
+    factorization oracle (classify).
+
+    Each caller sets its own oracle budget: interval_check once per
+    construction (value(P) <= ORACLE_VALUE_LIMIT), find_gap_interval per
+    element (element <= ORACLE_VALUE_LIMIT); deep_verify lifts both.
+    Raises AssertionError, explicitly so that python -O keeps it, when the
+    certificate fails or the oracle finds a two-squares witness.
+    """
+    if not certificate.holds_for(element):
+        raise AssertionError(f"certificate does not hold at offset {offset}")
+    status = "skipped"
+    if run_oracle:
+        verdict = classify(element, effort=effort, seed=seed)
+        if isinstance(verdict, Member):
+            raise AssertionError(
+                f"oracle found witness for certified element {element}"
+            )
+        status = "confirmed" if isinstance(verdict, NonMember) else "unknown"
+    return ElementCheck(
+        offset=offset, element=element, certificate=certificate, oracle=status
+    )
+
+
 def interval_check(
     c: Construction,
     effort: int = DEFAULT_EFFORT,
@@ -228,27 +261,13 @@ def interval_check(
     if not report.ok:
         raise ValueError(f"construction is not covered: offset {report.first_uncovered}")
     run_oracle = deep_verify or c.modulus.value() <= ORACLE_VALUE_LIMIT
-    out = []
-    for cert in report.certificates:
-        element = c.shift + cert.offset
-        nm = cert.to_non_membership()
-        assert nm.holds_for(element)
-        if run_oracle:
-            verdict = classify(element, effort=effort, seed=seed)
-            if isinstance(verdict, Member):
-                raise AssertionError(
-                    f"oracle found witness for certified element {element}"
-                )
-            status = "confirmed" if isinstance(verdict, NonMember) else "unknown"
-            assert isinstance(verdict, (NonMember, Unknown))
-        else:
-            status = "skipped"
-        out.append(
-            ElementCheck(
-                offset=cert.offset, element=element, certificate=nm, oracle=status
-            )
+    return [
+        _check_element(
+            cert.offset, c.shift + cert.offset, cert.certificate, run_oracle,
+            effort, seed,
         )
-    return out
+        for cert in report.certificates
+    ]
 
 
 def modulus_growth(y: int) -> float:

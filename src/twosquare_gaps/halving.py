@@ -10,7 +10,11 @@ a larger prime keeps exponent 1.  The prime 2 keeps its full exponent.
 The shift is reduced modulo the new modulus, and the interval family
 lo = 1 + a0 + n*value(halved) is screened for indices n where some
 element would pick up a square factor of a large prime; the least
-surviving n gives the certified interval.
+surviving n gives the certified interval.  Its elements carry the
+covering certificates over: a small prime's valuation stays exact, a
+large prime's becomes exactly 1.  The construction module's element
+check re-checks each one on the element, and cross-checks it with the
+oracle when the element itself is at most 10^18 (a per-element budget).
 
 Both the exponents and the screen run on the construction module's
 per-prime residue walk (offsets j = -shift mod p only).
@@ -36,13 +40,13 @@ from .arith import (
 from .construction import (
     ORACLE_VALUE_LIMIT,
     Construction,
-    CoveringCertificate,
     ElementCheck,
+    _check_element,
     _offset_residues,
     richards_construction,
     verify_covering,
 )
-from .oracle import Member, NonMember, OddValuation, classify
+from .oracle import OddValuation
 
 
 class NoGoodIntervalError(RuntimeError):
@@ -223,13 +227,18 @@ def find_gap_interval(
 
     base = a0 + chosen * v
     checks = []
-    run_oracle_limit = None if deep_verify else ORACLE_VALUE_LIMIT
     for cert in report.certificates:
+        nm = cert.certificate
+        if isinstance(nm, OddValuation) and nm.p > threshold:
+            # large prime: the halved modulus pins only one factor of p, so
+            # the certificate becomes valuation exactly 1; the element check
+            # confirms p*p does not divide the element rather than trusting
+            # the bad-set bookkeeping
+            nm = OddValuation(nm.p, 1)
         element = base + cert.offset
+        run_oracle = deep_verify or element <= ORACLE_VALUE_LIMIT
         checks.append(
-            _transferred_check(
-                threshold, cert, element, effort, run_oracle_limit, seed
-            )
+            _check_element(cert.offset, element, nm, run_oracle, effort, seed)
         )
     return HalvingResult(
         y=c.y,
@@ -242,37 +251,6 @@ def find_gap_interval(
         interval=(base + 1, base + c.y),
         certificates=tuple(checks),
         degenerate=degenerate,
-    )
-
-
-def _transferred_check(
-    threshold: int,
-    cert: CoveringCertificate,
-    element: int,
-    effort: int,
-    oracle_limit: int | None,
-    seed: int,
-) -> ElementCheck:
-    nm = cert.certificate
-    failure = "certificate does not hold"
-    if isinstance(nm, OddValuation) and nm.p > threshold:
-        # large prime: the halved modulus pins only one factor of p, so the
-        # certificate becomes valuation exactly 1; holds_for confirms p*p
-        # does not divide the element rather than trusting the bad-set
-        # bookkeeping
-        nm = OddValuation(nm.p, 1)
-        failure = "large-prime transfer failed"
-    if not nm.holds_for(element):
-        raise AssertionError(f"{failure} at offset {cert.offset}")
-    if oracle_limit is None or element <= oracle_limit:
-        verdict = classify(element, effort=effort, seed=seed)
-        if isinstance(verdict, Member):
-            raise AssertionError(f"oracle found witness for certified {element}")
-        status = "confirmed" if isinstance(verdict, NonMember) else "unknown"
-    else:
-        status = "skipped"
-    return ElementCheck(
-        offset=cert.offset, element=element, certificate=nm, oracle=status
     )
 
 

@@ -87,9 +87,13 @@ class TwoPowerForm:
             raise ValueError("k must be >= 0")
 
     def holds_for(self, n: int) -> bool:
-        if n < 1 or valuation(n, 2) != self.k:
-            return False
-        return (n >> self.k) % 4 == 3
+        return n >= 1 and _two_power_form(n) == self
+
+
+def _two_power_form(n: int) -> TwoPowerForm | None:
+    # the two-power certificate of n >= 1, if its odd part is 3 mod 4
+    k = valuation(n, 2)
+    return TwoPowerForm(k) if (n >> k) % 4 == 3 else None
 
 
 @dataclass(frozen=True)
@@ -140,7 +144,8 @@ def two_square_decomposition(p: int) -> tuple[int, int]:
         a, b = b, a % b
     x = b
     y = math.isqrt(p - x * x)
-    assert x * x + y * y == p
+    if x * x + y * y != p:
+        raise AssertionError(f"descent did not decompose {p}")
     return (min(x, y), max(x, y))
 
 
@@ -162,9 +167,9 @@ def classify(
     """
     if n < 1:
         raise ValueError("classify expects n >= 1")
-    k2 = valuation(n, 2) if n > 1 else 0
-    if (n >> k2) % 4 == 3:
-        return NonMember(TwoPowerForm(k2))
+    two_power = _two_power_form(n)
+    if two_power is not None:
+        return NonMember(two_power)
     fac = factorize(n, effort=effort, seed=seed)
     for p, e in fac.factors:
         if p % 4 == 3 and e % 2 == 1:
@@ -183,7 +188,8 @@ def classify(
         else:
             acc = _compose(acc, (p ** (e // 2), 0))
     x, y = sorted((abs(acc[0]), abs(acc[1])))
-    assert x * x + y * y == n
+    if x * x + y * y != n:
+        raise AssertionError(f"two-squares witness does not sum to {n}")
     return Member(x, y)
 
 
@@ -203,10 +209,7 @@ def certify_non_membership(
         k = valuation(n, p)
         if k % 2 == 1:
             return OddValuation(p, k)
-    k2 = valuation(n, 2) if n > 1 else 0
-    if (n >> k2) % 4 == 3:
-        return TwoPowerForm(k2)
-    return None
+    return _two_power_form(n)
 
 
 def _primes_3_mod_4(bound: int) -> np.ndarray:

@@ -21,6 +21,8 @@ from twosquare_gaps.construction import (
 )
 from twosquare_gaps.oracle import NonMember, OddValuation, TwoPowerForm, classify
 
+from element_failures import FAILURES, MESSAGES, run_optimized
+
 
 class TestRichardsModulus:
     def test_frozen_examples(self):
@@ -157,6 +159,19 @@ class TestIntervalCheck:
         c = Construction(y=1, modulus=FactoredInteger(((3, 1),)), shift=2)
         with pytest.raises(ValueError):
             interval_check(c)
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_failed_check_raises(self, richards10, monkeypatch, failure):
+        FAILURES[failure](monkeypatch)
+        with pytest.raises(AssertionError, match=MESSAGES[failure]):
+            interval_check(richards10)
+
+    def test_failed_check_raises_under_optimize(self):
+        assert run_optimized("interval_check") == [
+            "optimize 1",
+            "interval_check certificate raised",
+            "interval_check witness raised",
+        ]
 
 
 class TestConstructionJson:

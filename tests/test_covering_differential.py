@@ -6,7 +6,10 @@ are the per-offset and per-prime scans they replaced, kept here as
 test-only reference code: the covering tries every prime for every
 offset in ascending order, and the halving references are the stride
 scans of each prime on its own, with the exceptional pairs' quotients
-and cofactors taken from the full integers.
+and cofactors taken from the full integers.  The element checks of
+interval_check and find_gap_interval share one checker; the reference
+keeps the two loops each of them ran on its own, with their oracle
+budgets (value(P) per construction, the element itself in halving).
 """
 
 import math
@@ -18,15 +21,23 @@ from hypothesis import strategies as st
 
 from twosquare_gaps.arith import FactoredInteger, mod_inverse, sieve_primes, valuation
 from twosquare_gaps.construction import (
+    ORACLE_VALUE_LIMIT,
     Construction,
     CoveringCertificate,
     CoveringReport,
+    ElementCheck,
     covering_certificate,
+    interval_check,
     richards_construction,
     verify_covering,
 )
-from twosquare_gaps.halving import exceptional_pairs, halved_modulus, has_odd_cover
-from twosquare_gaps.oracle import OddValuation, TwoPowerForm
+from twosquare_gaps.halving import (
+    exceptional_pairs,
+    find_gap_interval,
+    halved_modulus,
+    has_odd_cover,
+)
+from twosquare_gaps.oracle import Member, NonMember, OddValuation, TwoPowerForm, classify
 
 DELTAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
 
@@ -111,6 +122,46 @@ def reference_exceptional_pairs(c: Construction, delta) -> list:
             pairs.append((j, p, n if n <= threshold else None))
             j += p
     return pairs
+
+
+def reference_element_check(
+    offset: int, element: int, nm, run_oracle: bool, effort: int
+) -> ElementCheck:
+    assert nm.holds_for(element)
+    status = "skipped"
+    if run_oracle:
+        verdict = classify(element, effort=effort)
+        assert not isinstance(verdict, Member)
+        status = "confirmed" if isinstance(verdict, NonMember) else "unknown"
+    return ElementCheck(offset, element, nm, status)
+
+
+def reference_interval_check(
+    c: Construction, effort: int, deep_verify: bool
+) -> list[ElementCheck]:
+    run_oracle = deep_verify or c.modulus.value() <= ORACLE_VALUE_LIMIT
+    return [
+        reference_element_check(
+            cert.offset, c.shift + cert.offset, cert.certificate, run_oracle, effort
+        )
+        for cert in reference_covering(c).certificates
+    ]
+
+
+def reference_transferred_checks(
+    c: Construction, delta, base: int, effort: int, deep_verify: bool
+) -> list[ElementCheck]:
+    # elements base + j; a large prime's certificate becomes valuation 1
+    threshold = math.floor(Fraction(delta) * c.y)
+    out = []
+    for cert in reference_covering(c).certificates:
+        nm = cert.certificate
+        if isinstance(nm, OddValuation) and nm.p > threshold:
+            nm = OddValuation(nm.p, 1)
+        element = base + cert.offset
+        run_oracle = deep_verify or element <= ORACLE_VALUE_LIMIT
+        out.append(reference_element_check(cert.offset, element, nm, run_oracle, effort))
+    return out
 
 
 def assert_same_covering(c: Construction) -> None:
@@ -218,3 +269,26 @@ class TestHalving:
             for delta in DELTAS:
                 assert halved_modulus(c, delta) == reference_halved_modulus(c, delta)
                 assert exceptional_pairs(c, delta) == reference_exceptional_pairs(c, delta)
+
+
+# Every Richards element has an odd valuation of a prime below 2**16, so
+# trial division decides it; a small rho budget keeps deep_verify cheap
+# (the default budget takes minutes on the 49-digit elements of Y = 30).
+CHECK_EFFORT = 1000
+
+
+@pytest.mark.parametrize("deep_verify", [False, True])
+class TestElementChecks:
+    def test_interval_check(self, richards_sweep, deep_verify):
+        two_power = Construction(y=5, modulus=FactoredInteger(((2, 4), (3, 2))), shift=90)
+        for c in richards_sweep[:30] + [two_power]:
+            got = interval_check(c, effort=CHECK_EFFORT, deep_verify=deep_verify)
+            assert got == reference_interval_check(c, CHECK_EFFORT, deep_verify)
+
+    def test_find_gap_interval(self, richards_sweep, deep_verify):
+        for c in richards_sweep[4:30]:
+            res = find_gap_interval(c, effort=CHECK_EFFORT, deep_verify=deep_verify)
+            want = reference_transferred_checks(
+                c, Fraction(1, 2), res.interval[0] - 1, CHECK_EFFORT, deep_verify
+            )
+            assert list(res.certificates) == want

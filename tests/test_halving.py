@@ -21,6 +21,8 @@ from twosquare_gaps.halving import (
 )
 from twosquare_gaps.oracle import OddValuation, membership_sieve
 
+from element_failures import FAILURES, MESSAGES, run_optimized
+
 HALF = Fraction(1, 2)
 
 
@@ -226,6 +228,19 @@ class TestFindGapInterval:
         c = Construction(y=1, modulus=FactoredInteger(((3, 1),)), shift=2)
         with pytest.raises(ValueError):
             find_gap_interval(c, HALF)
+
+    @pytest.mark.parametrize("failure", FAILURES)
+    def test_failed_check_raises(self, richards10, monkeypatch, failure):
+        FAILURES[failure](monkeypatch)
+        with pytest.raises(AssertionError, match=MESSAGES[failure]):
+            find_gap_interval(richards10, HALF)
+
+    def test_failed_check_raises_under_optimize(self):
+        assert run_optimized("find_gap_interval") == [
+            "optimize 1",
+            "find_gap_interval certificate raised",
+            "find_gap_interval witness raised",
+        ]
 
     def test_no_good_n(self, richards10, monkeypatch):
         import twosquare_gaps.halving as halving_mod

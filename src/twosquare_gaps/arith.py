@@ -54,8 +54,19 @@ def _prime_array(limit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _small_prime_table() -> list[int]:
-    return sieve_primes(_SMALL_PRIME_LIMIT)
+def _small_prime_tree() -> list[list[int]]:
+    # product trees over the primes below 2**16, one per run of 128 primes:
+    # level 0 is the primes, each next level the products of adjacent pairs
+    # (an odd last node is carried up alone), level 7 the 52 roots.  Roots
+    # of ~2000 bits stay in Python's small-object arenas; one tree over all
+    # the primes would keep ~94000-bit integers in the C heap, where numpy's
+    # freed arrays left room, and fragment it (a scan run's peak RSS +4 MB).
+    level = sieve_primes(_SMALL_PRIME_LIMIT)
+    levels = [level]
+    for _ in range(7):
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+        levels.append(level)
+    return levels
 
 
 def prime_count(x: int) -> int:
@@ -240,7 +251,7 @@ def _brent_rho(n: int, effort: int, seed: int) -> int | None:
                 steps = min(m, r - k, remaining)
                 for _ in range(steps):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 remaining -= steps
                 g = math.gcd(q, n)
                 k += steps
@@ -251,7 +262,7 @@ def _brent_rho(n: int, effort: int, seed: int) -> int | None:
             while g == 1:
                 ys = (ys * ys + c) % n
                 remaining -= 1
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if 1 < g < n:
             return g
         # g == n with x == ys means a degenerate cycle; retry with new c
@@ -282,26 +293,64 @@ class Factorization:
 def factorize(n: int, effort: int = DEFAULT_EFFORT, seed: int = 0) -> Factorization:
     """Factor n >= 1.
 
-    Trial division by all primes below 2**16, then perfect-power extraction
-    and Brent rho on what is left.  If the rho budget (effort, counted in
-    modular squarings) runs out, the remaining composite is reported as
-    .residual instead of looping forever.
+    The primes below 2**16 come out of gcds of n with products of 128 of
+    them, split down product trees, instead of trial division.  Then
+    perfect-power extraction and Brent rho work on what is left.  If the
+    rho budget (effort, counted in modular squarings) runs out, the
+    remaining composite is reported as .residual instead of looping
+    forever.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
+    counts, m = _small_factors(n)
+    residual = _large_factors(m, counts, effort, seed)
+    return Factorization(n=n, factors=tuple(sorted(counts.items())), residual=residual)
+
+
+def _small_factors(n: int) -> tuple[dict[int, int], int]:
+    """(counts, m): the exponents of the primes below 2**16 in n, in
+    ascending order, and the cofactor m they leave.
+
+    gcd(n, root) is the product of the root's primes that divide n; a
+    root where it is 1 is skipped.  The descent enters a node only with
+    the part of that gcd the node divides, so it visits the tree paths of
+    those primes alone.  m has no prime factor below 2**16, so m < 2**32
+    is 1 or a prime, which is moved into counts.
+    """
+    levels = _small_prime_tree()
+    top = len(levels) - 1
     counts: dict[int, int] = {}
     m = n
-    for p in _small_prime_table():
-        if p * p > m:
-            break
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-    if m > 1 and m < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
-        # below the trial-division square, what survives is prime
-        counts[m] = counts.get(m, 0) + 1
+    # (depth, index, part of the gcd under that node), pushed so that the
+    # smallest primes pop first
+    stack: list[tuple[int, int, int]] = []
+    for i in range(len(levels[top]) - 1, -1, -1):
+        g = math.gcd(n, levels[top][i])
+        if g > 1:
+            stack.append((top, i, g))
+    while stack:
+        depth, i, h = stack.pop()
+        if depth == 0:
+            e = 0
+            while m % h == 0:
+                m //= h
+                e += 1
+            counts[h] = e
+            continue
+        left = math.gcd(h, levels[depth - 1][2 * i])
+        if left < h:
+            stack.append((depth - 1, 2 * i + 1, h // left))
+        if left > 1:
+            stack.append((depth - 1, 2 * i, left))
+    if 1 < m < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
+        counts[m] = 1
         m = 1
+    return counts, m
 
+
+def _large_factors(m: int, counts: dict[int, int], effort: int, seed: int) -> int:
+    """Split m, free of primes below 2**16, into counts; return the
+    residual that the rho budget left unfactored (1 when complete)."""
     residual = 1
     stack: list[tuple[int, int]] = [(m, 1)] if m > 1 else []
     while stack:
@@ -326,9 +375,7 @@ def factorize(n: int, effort: int = DEFAULT_EFFORT, seed: int = 0) -> Factorizat
             continue
         stack.append((d, mult))
         stack.append((v // d, mult))
-
-    factors = tuple(sorted(counts.items()))
-    return Factorization(n=n, factors=factors, residual=residual)
+    return residual
 
 
 @dataclass(frozen=True)

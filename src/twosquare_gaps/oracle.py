@@ -5,7 +5,10 @@ p = 3 (mod 4) divides n to an even power.  This module decides
 membership three independent ways:
 
 * classify()            factorization route, produces a witness or a
-                        non-membership certificate
+                        non-membership certificate.  The primes below
+                        2**16 come out of a gcd screen first; when one
+                        p = 3 (mod 4) among them sits at odd valuation,
+                        classify answers without running rho.
 * membership_sieve()    parity sieve over a window: odd part 3 mod 4, or
                         some p = 3 (mod 4) up to sqrt(hi) at odd power
 * certify_non_membership()  certificate search against a caller-supplied
@@ -26,8 +29,9 @@ import numpy as np
 from .arith import (
     DEFAULT_EFFORT,
     CapacityError,
+    _large_factors,
     _prime_array,
-    factorize,
+    _small_factors,
     is_prime,
     valuation,
 )
@@ -138,6 +142,11 @@ def two_square_decomposition(p: int) -> tuple[int, int]:
         return (1, 1)
     if p % 4 != 1 or not is_prime(p):
         raise ValueError(f"{p} is not 2 or a prime 1 mod 4")
+    return _prime_legs(p)
+
+
+def _prime_legs(p: int) -> tuple[int, int]:
+    # two_square_decomposition for p already known to be a prime 1 mod 4
     bound = math.isqrt(p)
     a, b = p, _sqrt_minus_one(p)
     while b > bound:
@@ -156,6 +165,14 @@ def _compose(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return (abs(a * c - b * d), a * d + b * c)
 
 
+def _odd_valuation(counts: dict[int, int]) -> OddValuation | None:
+    # the smallest prime = 3 (mod 4) at odd valuation, as a certificate
+    for p, e in sorted(counts.items()):
+        if p % 4 == 3 and e % 2 == 1:
+            return OddValuation(p, e)
+    return None
+
+
 def classify(
     n: int, effort: int = DEFAULT_EFFORT, seed: int = 0
 ) -> Member | NonMember | Unknown:
@@ -170,19 +187,24 @@ def classify(
     two_power = _two_power_form(n)
     if two_power is not None:
         return NonMember(two_power)
-    fac = factorize(n, effort=effort, seed=seed)
-    for p, e in fac.factors:
-        if p % 4 == 3 and e % 2 == 1:
-            return NonMember(OddValuation(p, e))
-    if not fac.complete:
-        return Unknown(fac.residual)
+    # the primes below 2**16 first: every prime rho finds is larger, so
+    # an odd valuation among them is already the smallest certificate
+    counts, residual = _small_factors(n)
+    certificate = _odd_valuation(counts)
+    if certificate is None:
+        residual = _large_factors(residual, counts, effort, seed)
+        certificate = _odd_valuation(counts)
+    if certificate is not None:
+        return NonMember(certificate)
+    if residual != 1:
+        return Unknown(residual)
     acc = (1, 0)
-    for p, e in fac.factors:
+    for p, e in sorted(counts.items()):
         if p == 2:
             for _ in range(e):
                 acc = _compose(acc, (1, 1))
         elif p % 4 == 1:
-            leg = two_square_decomposition(p)
+            leg = _prime_legs(p)
             for _ in range(e):
                 acc = _compose(acc, leg)
         else:

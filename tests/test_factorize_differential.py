@@ -1,0 +1,264 @@
+"""Differential test: the gcd-screened factorize and classify against the
+trial-division versions they replaced.
+
+reference_factorize and reference_classify are test-only reference code:
+trial division by every prime below 2**16, then the perfect-power and
+Brent rho stage, with the rho batch product taken over |x - y|, and a
+classify that factors n completely before it looks for a certificate.
+The library must return the same Factorization, and the same verdict with
+the same witness, certificate or Unknown residual, at every effort.
+"""
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from twosquare_gaps import arith
+from twosquare_gaps.arith import (
+    DEFAULT_EFFORT,
+    Factorization,
+    _iroot,
+    factorize,
+    is_prime,
+    sieve_primes,
+)
+from twosquare_gaps.oracle import (
+    Member,
+    NonMember,
+    OddValuation,
+    Unknown,
+    _two_power_form,
+    classify,
+    two_square_decomposition,
+)
+
+SMALL_LIMIT = 1 << 16
+TABLE = sieve_primes(SMALL_LIMIT - 1)
+ROOT = math.prod(TABLE)
+
+
+def reference_brent_rho(n, effort, seed):
+    rng = random.Random(n * 1_000_003 + seed)
+    remaining = effort
+    while remaining > 0:
+        y = rng.randrange(1, n)
+        c = rng.randrange(1, n)
+        m = 128
+        g = r = q = 1
+        x = ys = y
+        while g == 1 and remaining > 0:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1 and remaining > 0:
+                ys = y
+                steps = min(m, r - k, remaining)
+                for _ in range(steps):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                remaining -= steps
+                g = math.gcd(q, n)
+                k += steps
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                remaining -= 1
+                g = math.gcd(abs(x - ys), n)
+        if 1 < g < n:
+            return g
+    return None
+
+
+def reference_factorize(n, effort=DEFAULT_EFFORT, seed=0):
+    counts = {}
+    m = n
+    for p in TABLE:
+        if p * p > m:
+            break
+        while m % p == 0:
+            counts[p] = counts.get(p, 0) + 1
+            m //= p
+    if m > 1 and m < SMALL_LIMIT * SMALL_LIMIT:
+        counts[m] = counts.get(m, 0) + 1
+        m = 1
+    residual = 1
+    stack = [(m, 1)] if m > 1 else []
+    while stack:
+        v, mult = stack.pop()
+        if is_prime(v, seed=seed):
+            counts[v] = counts.get(v, 0) + mult
+            continue
+        reduced = False
+        for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            if k > v.bit_length():
+                break
+            root = _iroot(v, k)
+            if root**k == v:
+                stack.append((root, mult * k))
+                reduced = True
+                break
+        if reduced:
+            continue
+        d = reference_brent_rho(v, effort, seed)
+        if d is None:
+            residual *= v**mult
+            continue
+        stack.append((d, mult))
+        stack.append((v // d, mult))
+    return Factorization(n=n, factors=tuple(sorted(counts.items())), residual=residual)
+
+
+def reference_classify(n, effort=DEFAULT_EFFORT, seed=0):
+    two_power = _two_power_form(n)
+    if two_power is not None:
+        return NonMember(two_power)
+    fac = reference_factorize(n, effort=effort, seed=seed)
+    for p, e in fac.factors:
+        if p % 4 == 3 and e % 2 == 1:
+            return NonMember(OddValuation(p, e))
+    if not fac.complete:
+        return Unknown(fac.residual)
+    x, y = 1, 0
+    for p, e in fac.factors:
+        if p == 2:
+            leg = (1, 1)
+        elif p % 4 == 1:
+            leg = two_square_decomposition(p)
+        else:
+            x, y = x * p ** (e // 2), y * p ** (e // 2)
+            continue
+        for _ in range(e):
+            x, y = abs(x * leg[0] - y * leg[1]), x * leg[1] + y * leg[0]
+    return Member(*sorted((x, y)))
+
+
+def assert_same(n, effort=DEFAULT_EFFORT, seed=0):
+    assert factorize(n, effort=effort, seed=seed) == reference_factorize(
+        n, effort=effort, seed=seed
+    )
+    assert classify(n, effort=effort, seed=seed) == reference_classify(
+        n, effort=effort, seed=seed
+    )
+
+
+def _large_primes(rng, count, residue=None):
+    out = []
+    while len(out) < count:
+        p = rng.randrange(SMALL_LIMIT + 1, 10**6)
+        if is_prime(p) and p not in out and residue in (None, p % 4):
+            out.append(p)
+    return out
+
+
+@st.composite
+def small_prime_heavy(draw, bound=1 << 80):
+    # table primes at random powers, times a random cofactor, below bound
+    n = 1
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        p = draw(st.sampled_from(TABLE[:30]) | st.sampled_from(TABLE))
+        k = draw(st.integers(min_value=1, max_value=7))
+        if n * p**k >= bound:
+            break
+        n *= p**k
+    return n * draw(st.integers(min_value=1, max_value=(bound - 1) // n))
+
+
+class TestAgainstTrialDivision:
+    @settings(max_examples=150, deadline=None)
+    @given(small_prime_heavy(), st.integers(min_value=0, max_value=3))
+    def test_default_effort(self, n, seed):
+        assert_same(n, seed=seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        small_prime_heavy(),
+        st.sampled_from((0, 63)),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_low_effort(self, n, effort, seed):
+        # Unknown.residual and the partial factorization must match too
+        assert_same(n, effort=effort, seed=seed)
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            1,
+            2,
+            2**5,
+            2**64,
+            2**200,
+            65521,
+            65537,
+            65521**2,
+            65521 * 65537,
+            4294967291,  # largest prime below 2**32: left over after the screen
+            3 * 4294967291,
+            65537 * 4294967291,
+        ],
+        ids=lambda n: str(n) if n < 10**20 else f"2**{n.bit_length() - 1}",
+    )
+    def test_pinned(self, n):
+        for effort in (DEFAULT_EFFORT, 0, 63):
+            assert_same(n, effort=effort)
+
+    def test_members_split_by_rho(self):
+        # 2 to 4 primes = 1 (mod 4) above the table, as the benchmark's
+        # `member` requests: rho finds them in no set order, and the witness
+        # depends on the order in which their legs are composed
+        rng = random.Random(4)
+        for _ in range(12):
+            n = math.prod(_large_primes(rng, rng.randint(2, 4), residue=1))
+            assert isinstance(reference_classify(n), Member)
+            assert_same(n)
+
+    def test_root_product(self):
+        # every table prime once: the descent visits every node of every tree,
+        # and no cofactor is left for rho, so one effort covers it
+        assert_same(ROOT)
+
+
+class RhoCalled(Exception):
+    pass
+
+
+def _raise_rho(n, effort, seed):
+    raise RhoCalled(n)
+
+
+def early_inputs(power):
+    # q**power * p1 * p2 = 1 (mod 4), q = 3 (mod 4) in the table, p1 and
+    # p2 above it, as the benchmark's `early` requests are built
+    rng = random.Random(power)
+    out = []
+    for q in (3, 7, 11, 19, 83, 65519):
+        while True:
+            p1, p2 = _large_primes(rng, 2)
+            n = q**power * p1 * p2
+            if n % 4 == 1:
+                out.append((q, n))
+                break
+    return out
+
+
+class TestEarlyExit:
+    @pytest.mark.parametrize("power", [1, 3])
+    def test_decided_without_rho(self, monkeypatch, power):
+        for q, n in early_inputs(power):
+            expected = reference_classify(n)
+            assert expected == NonMember(OddValuation(q, power))
+            with monkeypatch.context() as mp:
+                mp.setattr(arith, "_brent_rho", _raise_rho)
+                assert classify(n) == expected
+
+    def test_even_power_reaches_rho(self, monkeypatch):
+        # negative control: q**2 decides nothing, so rho must run
+        monkeypatch.setattr(arith, "_brent_rho", _raise_rho)
+        for _, n in early_inputs(2):
+            with pytest.raises(RhoCalled):
+                classify(n)

@@ -314,13 +314,14 @@ def _small_factors(n: int) -> tuple[dict[int, int], int]:
     gcd(n, root) is the product of the root's primes that divide n; a
     root where it is 1 is skipped.  The descent enters a node only with
     the part of that gcd the node divides, so it visits the tree paths of
-    those primes alone.  m has no prime factor below 2**16, so m < 2**32
-    is 1 or a prime, which is moved into counts.
+    those primes alone.  n is divided once by the product of the root
+    gcds, which is every such prime to the first power, and only the
+    extra powers are divided out one by one.  m has no prime factor
+    below 2**16, so m < 2**32 is 1 or a prime, which is moved into counts.
     """
     levels = _small_prime_tree()
     top = len(levels) - 1
     counts: dict[int, int] = {}
-    m = n
     # (depth, index, part of the gcd under that node), pushed so that the
     # smallest primes pop first
     stack: list[tuple[int, int, int]] = []
@@ -328,10 +329,11 @@ def _small_factors(n: int) -> tuple[dict[int, int], int]:
         g = math.gcd(n, levels[top][i])
         if g > 1:
             stack.append((top, i, g))
+    m = n // math.prod(g for _, _, g in stack)
     while stack:
         depth, i, h = stack.pop()
         if depth == 0:
-            e = 0
+            e = 1
             while m % h == 0:
                 m //= h
                 e += 1

@@ -68,6 +68,16 @@ class OddValuation:
             raise ValueError("k must be a positive odd integer")
         _checked_cert_prime(self.p)
 
+    @classmethod
+    def _trusted(cls, p: int, k: int) -> OddValuation:
+        # for p = 3 (mod 4) and odd k >= 1 that the library's own
+        # factorization found, where p has already passed is_prime:
+        # skips the re-check
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "p", p)
+        object.__setattr__(obj, "k", k)
+        return obj
+
     def holds_for(self, n: int) -> bool:
         # v_p(n) == k: p^k divides n and p^(k+1) does not; two remainders
         # instead of k + 1 divisions of a possibly huge n
@@ -166,10 +176,11 @@ def _compose(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
 
 
 def _odd_valuation(counts: dict[int, int]) -> OddValuation | None:
-    # the smallest prime = 3 (mod 4) at odd valuation, as a certificate
+    # the smallest prime = 3 (mod 4) at odd valuation, as a certificate;
+    # every key of counts is a prime the factorization established
     for p, e in sorted(counts.items()):
         if p % 4 == 3 and e % 2 == 1:
-            return OddValuation(p, e)
+            return OddValuation._trusted(p, e)
     return None
 
 

@@ -1,10 +1,24 @@
 """Empirical record-gap scanner over the sums of two squares.
 
 Segmented: each window is marked independently by the parity sieve
-(oracle.membership_sieve), and a single sequential merge pass extracts
-record gaps in window order, so the output is byte-identical for any
-segment size.  Segments are sieved and merged one at a time, so memory
-stays one segment deep whatever the limit.
+(oracle.membership_sieve), and one sequential pass merges the windows in
+order, carrying the last member and the record so far (best) across
+each boundary, so the output is byte-identical for any segment size.
+Segments are sieved and merged one at a time, so memory stays one
+segment deep whatever the limit.
+
+A segment is merged one of two ways:
+
+* dense: the positions of all its members, their differences and a
+  running maximum give every gap.  The first segment, and each one
+  before best reaches 15, is merged so.
+* sparse: a gap above best is a run of at least best non-members, which
+  holds at least (best - 7) // 8 whole all-zero 8-byte words of the
+  boolean segment.  The segment is viewed as uint64 words, shifted ANDs
+  keep the runs of that many zero words, and exact members are looked
+  up only at those runs and at the gap that crosses the left boundary
+  (a word-at-a-time zero search: Warren, Hacker's Delight, 2nd ed.,
+  2012, ch. 6).  No array of member positions is built.
 """
 
 from __future__ import annotations
@@ -38,10 +52,85 @@ class GapRecord:
         return self.gap / math.log(self.s_next)
 
 
-def _segment_members(lo: int, hi: int) -> np.ndarray:
-    members = np.flatnonzero(membership_sieve(lo, hi))
-    members += lo
-    return members
+def _first_member(seg: np.ndarray, start: int) -> int:
+    # index of the first member at or after start, or -1; the slices
+    # double, so a long run of non-members costs a few calls
+    width = 64
+    while start < len(seg):
+        hits = np.flatnonzero(seg[start : start + width])
+        if len(hits):
+            return start + int(hits[0])
+        start += width
+        width *= 2
+    return -1
+
+
+def _zero_words(best: int) -> int:
+    # A gap above best, inside a segment, is a run of L >= best
+    # non-members.  L zero bytes in a row hold at least (L - 7) // 8 whole
+    # words.  If the segment's last whole word cuts the run, t <= 6 of its
+    # bytes lie in the tail, and the rest ends on a word boundary, so it
+    # holds (L - t) // 8 whole words.
+    return (best - 7) // 8
+
+
+def _dense_merge(
+    seg: np.ndarray, lo: int, prev: int | None, best: int, records: list[GapRecord]
+) -> tuple[int | None, int]:
+    # every gap in the segment, from its member positions
+    chunk = np.flatnonzero(seg)
+    chunk += lo
+    if prev is None and len(chunk):
+        prev = int(chunk[0])
+        chunk = chunk[1:]
+    if len(chunk) == 0:
+        return prev, best
+    # gaps within the chunk plus the carried gap across the boundary
+    gaps = np.diff(chunk, prepend=prev)
+    running = np.maximum.accumulate(gaps)
+    for i in np.nonzero((gaps == running) & (gaps > best))[0]:
+        g = int(gaps[i])
+        if g > best:
+            best = g
+            left = prev if i == 0 else int(chunk[i - 1])
+            records.append(GapRecord(left, int(chunk[i]), g))
+    return int(chunk[-1]), best
+
+
+def _sparse_merge(
+    seg: np.ndarray, lo: int, prev: int, best: int, runs: int, records: list[GapRecord]
+) -> tuple[int, int]:
+    # only the gaps that can beat best: the leading gap, and the runs of
+    # at least `runs` all-zero words of the segment
+    first = _first_member(seg, 0)
+    if first < 0:
+        return prev, best
+    if lo + first - prev > best:
+        best = lo + first - prev
+        records.append(GapRecord(prev, lo + first, best))
+    zero = seg[: len(seg) - len(seg) % 8].view(np.uint64) == 0
+    # zero[i] becomes: words i .. i + span - 1 are all zero
+    span = 1
+    while span < runs:
+        step = min(span, runs - span)
+        zero = zero[:-step] & zero[step:]
+        span += step
+    starts = np.flatnonzero(zero)
+    # the first word of each run: word i - 1 is not zero, so it holds
+    # the run's left member
+    starts = starts[np.diff(starts, prepend=-2) > 1].tolist()
+    for i in starts:
+        if i == 0:
+            continue  # the leading gap, tested above
+        left = 8 * i - 8 + int(np.flatnonzero(seg[8 * i - 8 : 8 * i])[-1])
+        right = _first_member(seg, 8 * (i + runs))
+        if right < 0:
+            break  # carried into the next segment
+        if right - left > best:
+            best = right - left
+            records.append(GapRecord(lo + left, lo + right, best))
+    last = len(seg) - 1 - _first_member(seg[::-1], 0)
+    return lo + last, best
 
 
 def scan_records(
@@ -64,27 +153,17 @@ def scan_records(
     prev = None
     best = 0
     for lo in range(1, limit + 1, segment_size):
-        chunk = _segment_members(lo, min(lo + segment_size - 1, limit))
-        if prev is None and len(chunk):
-            prev = int(chunk[0])
-            chunk = chunk[1:]
-        if len(chunk) == 0:
-            continue
-        # gaps within the chunk plus the carried gap across the boundary
-        gaps = np.diff(chunk, prepend=prev)
-        running = np.maximum.accumulate(gaps)
-        for i in np.nonzero((gaps == running) & (gaps > best))[0]:
-            g = int(gaps[i])
-            if g > best:
-                best = g
-                left = prev if i == 0 else int(chunk[i - 1])
-                records.append(GapRecord(left, int(chunk[i]), g))
-        prev = int(chunk[-1])
+        seg = membership_sieve(lo, min(lo + segment_size - 1, limit))
+        runs = _zero_words(best)
+        if prev is None or runs < 1:
+            prev, best = _dense_merge(seg, lo, prev, best, records)
+        else:
+            prev, best = _sparse_merge(seg, lo, prev, best, runs, records)
     return records
 
 
 def max_gap(limit: int) -> int:
-    """g(limit): the largest gap between consecutive members below limit."""
+    """g(limit): the largest gap between consecutive members <= limit."""
     return scan_records(limit)[-1].gap
 
 

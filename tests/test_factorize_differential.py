@@ -222,6 +222,18 @@ class TestAgainstTrialDivision:
         # and no cofactor is left for rho, so one effort covers it
         assert_same(ROOT)
 
+    @pytest.mark.parametrize(
+        "base, power", [(3, 2001), (65521, 301)], ids=["3**2001", "65521**301"]
+    )
+    def test_high_prime_power(self, base, power):
+        # the one prime found is divided out once with the root gcds, then
+        # power - 1 more times
+        assert_same(base**power)
+
+    def test_root_product_with_powers(self):
+        # every table prime, three of them at higher powers
+        assert_same(ROOT * 2**9 * 3**4 * 65521**2)
+
 
 class RhoCalled(Exception):
     pass

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twosquare_gaps import arith, oracle
 from twosquare_gaps.arith import CapacityError, valuation
 from twosquare_gaps.oracle import (
     Member,
@@ -97,6 +98,24 @@ class TestClassify:
             v = classify(n)
             assert isinstance(v, (Member, NonMember))
             assert isinstance(v, Member) == (n in members)
+
+    def test_certificate_prime_tested_once(self, monkeypatch):
+        # rho splits n and tests each factor; the certificate for 999983
+        # must not test it again
+        calls = []
+        real = arith.is_prime
+
+        def counting(n, seed=0):
+            calls.append(n)
+            return real(n, seed=seed)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        monkeypatch.setattr(oracle, "is_prime", counting)
+        oracle._checked_cert_prime.cache_clear()
+        v = classify(1000003 * 999983 * 1000037)
+        assert calls.count(999983) == 1
+        assert calls.count(1000003) == 1
+        assert v == NonMember(OddValuation(999983, 1))
 
     @settings(max_examples=40)
     @given(st.integers(min_value=1, max_value=10**10))

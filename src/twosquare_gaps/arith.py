@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -419,10 +419,12 @@ class FactoredInteger:
         return tuple(p for p, _ in self.factors)
 
     def value(self) -> int:
-        out = 1
-        for p, e in self.factors:
-            out *= p**e
-        return out
+        return self._value
+
+    @cached_property
+    def _value(self) -> int:
+        # once per object; cached_property writes __dict__ even when frozen
+        return math.prod(p**e for p, e in self.factors)
 
     def log(self) -> float:
         """Natural log, summed from the factors (safe for huge values)."""

@@ -6,8 +6,9 @@ The verifier never factors a + j.  All valuations are computed modulo the
 prime powers of P, so verification cost scales with the modulus
 description, not with the size of a.  For each prime p of P the
 residue walk visits only the offsets j = -a (mod p), sum y/p steps over
-all primes; the halving module reuses the same walk.  Shifts are written
-and read in decimal at any size, past CPython's int<->str digit limit.
+all primes, and the same pass yields each odd prime's largest pinned odd
+valuation for the halving module.  Shifts are written and read in
+decimal at any size, past CPython's int<->str digit limit.
 """
 
 from __future__ import annotations
@@ -147,27 +148,36 @@ def _offset_residues(
             r -= pe
 
 
-def _covering_table(
+def _covering_walk(
     c: Construction, lo: int, hi: int
-) -> list[CoveringCertificate | None]:
+) -> tuple[list[CoveringCertificate | None], dict[int, int]]:
     """Certificate of each offset lo..hi (at index j - lo), None where no
-    condition matches.
+    condition matches, and each odd prime's largest pinned odd valuation
+    on lo..hi (0 if none), from one residue walk per modulus prime.
 
     Odd primes are walked in ascending order and an offset keeps the first
     odd valuation the modulus pins (shift + j not 0 mod p^e); only offsets
-    still open are tried against the two-power condition.
+    still open are tried against the two-power condition.  Construction
+    has validated the primes, so the certificates skip the re-check.
     """
     table: list[CoveringCertificate | None] = [None] * (hi - lo + 1)
+    pinned: dict[int, int] = {}
     e2 = 0
     for p, e in c.modulus.factors:
         if p == 2:
             e2 = e
             continue
+        best, pp = 0, p * p
         for j, r in _offset_residues(c.shift, lo, hi, p, p**e):
-            if r and table[j - lo] is None:
-                k = valuation(r, p)
+            if r:
+                k = valuation(r, p) if r % pp == 0 else 1
                 if k % 2 == 1:
-                    table[j - lo] = CoveringCertificate(j, OddValuation(p, k))
+                    if k > best:
+                        best = k
+                    if table[j - lo] is None:
+                        nm = OddValuation._trusted(p, k)
+                        table[j - lo] = CoveringCertificate(j, nm)
+        pinned[p] = best
     if e2:
         rbase = c.shift % (1 << e2)
         for j in range(lo, hi + 1):
@@ -177,7 +187,7 @@ def _covering_table(
                     k = valuation(r, 2)
                     if k + 2 <= e2 and (r >> k) % 4 == 3:
                         table[j - lo] = CoveringCertificate(j, TwoPowerForm(k))
-    return table
+    return table, pinned
 
 
 def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | None:
@@ -188,12 +198,12 @@ def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | 
     """
     if not 1 <= offset <= c.y:
         raise ValueError("offset must be in [1, y]")
-    return _covering_table(c, offset, offset)[0]
+    return _covering_walk(c, offset, offset)[0][0]
 
 
 def verify_covering(c: Construction) -> CoveringReport:
     """Check all offsets 1..y; the report ends at the least uncovered one."""
-    table = _covering_table(c, 1, c.y)
+    table, _ = _covering_walk(c, 1, c.y)
     first = next((j for j, cert in enumerate(table, 1) if cert is None), None)
     certs = table if first is None else table[: first - 1]
     return CoveringReport(y=c.y, certificates=tuple(certs), first_uncovered=first)

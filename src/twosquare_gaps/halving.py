@@ -16,10 +16,10 @@ large prime's becomes exactly 1.  The construction module's element
 check re-checks each one on the element, and cross-checks it with the
 oracle when the element itself is at most 10^18 (a per-element budget).
 
-Both the exponents and the screen run on the construction module's
-per-prime residue walk (offsets j = -shift mod p only).
-find_gap_interval verifies the covering and builds the halved modulus
-once, and the screen reuses that modulus.
+find_gap_interval runs the construction module's covering walk once and
+takes the certificates and each prime's largest pinned odd valuation
+from it; the screen walks the halved modulus's large primes the same
+way (offsets j = -shift mod p only).
 """
 
 from __future__ import annotations
@@ -35,16 +35,15 @@ from .arith import (
     _int_to_decimal,
     mod_inverse,
     prime_count,
-    valuation,
 )
 from .construction import (
     ORACLE_VALUE_LIMIT,
     Construction,
     ElementCheck,
     _check_element,
+    _covering_walk,
     _offset_residues,
     richards_construction,
-    verify_covering,
 )
 from .oracle import OddValuation
 
@@ -80,28 +79,14 @@ def small_part(c: Construction, threshold: int) -> FactoredInteger:
     )
 
 
-def _max_odd_valuation(c: Construction, p: int, e: int) -> int:
-    """Largest odd valuation of the odd modulus prime p (exponent e) in
-    shift + j, 1 <= j <= y, pinned by the modulus (shift + j not 0 mod
-    p^e); 0 if there is none."""
-    best = 0
-    for _, r in _offset_residues(c.shift, 1, c.y, p, p**e):
-        if r:
-            k = valuation(r, p)
-            if k % 2 == 1 and k > best:
-                best = k
-    return best
-
-
 def has_odd_cover(c: Construction, p: int) -> bool:
     """Whether some offset j <= y sees an odd valuation of p in shift + j.
 
     True means the prime is still needed after halving.
     """
-    e = c.modulus.exponent(p)
-    if p == 2 or e == 0:
+    if p == 2 or not c.modulus.exponent(p):
         raise ValueError("p must be an odd prime of the modulus")
-    return _max_odd_valuation(c, p, e) > 0
+    return _covering_walk(c, 1, c.y)[1][p] > 0
 
 
 def _checked_delta(c: Construction, delta) -> tuple[Fraction, int]:
@@ -122,14 +107,17 @@ def halved_modulus(c: Construction, delta) -> FactoredInteger:
     its exponent.
     """
     _, threshold = _checked_delta(c, delta)
+    return _halved(c, _covering_walk(c, 1, c.y)[1], threshold)
+
+
+def _halved(c: Construction, pinned: dict[int, int], threshold: int) -> FactoredInteger:
+    # halved_modulus from the pinned valuations of the covering walk
     factors = []
     for p, e in c.modulus.factors:
         if p == 2:
             factors.append((p, e))
-            continue
-        k = _max_odd_valuation(c, p, e)
-        if k:
-            factors.append((p, k + 1 if p <= threshold else 1))
+        elif pinned[p]:
+            factors.append((p, pinned[p] + 1 if p <= threshold else 1))
     return FactoredInteger._trusted(tuple(factors))
 
 
@@ -152,7 +140,8 @@ def _exceptional_pairs(
     for p, e in halved.factors:
         if p <= threshold:
             continue
-        assert e == 1
+        if e != 1:
+            raise AssertionError(f"large prime {p} has exponent {e}, not 1")
         pp = p * p
         # (value/p) mod p and ((a0 + j)/p) mod p, read off residues mod p^2
         cofactor_inv = mod_inverse(v % pp // p, p)
@@ -201,13 +190,11 @@ def find_gap_interval(
     (deep_verify lifts the budget).  Raises NoGoodIntervalError when the
     bad set swallows every index, and ValueError if c is not covered.
     """
-    report = verify_covering(c)
-    if not report.ok:
-        raise ValueError(
-            f"construction is not covered: offset {report.first_uncovered}"
-        )
+    table, pinned = _covering_walk(c, 1, c.y)
+    if None in table:
+        raise ValueError(f"construction is not covered: offset {table.index(None) + 1}")
     delta, threshold = _checked_delta(c, delta)
-    halved = halved_modulus(c, delta)
+    halved = _halved(c, pinned, threshold)
     # primes <= threshold at the trimmed exponents the halved modulus keeps
     small = FactoredInteger._trusted(
         tuple((p, e) for p, e in halved.factors if p <= threshold)
@@ -227,7 +214,7 @@ def find_gap_interval(
 
     base = a0 + chosen * v
     checks = []
-    for cert in report.certificates:
+    for cert in table:
         nm = cert.certificate
         if isinstance(nm, OddValuation) and nm.p > threshold:
             # large prime: the halved modulus pins only one factor of p, so

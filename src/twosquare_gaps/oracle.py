@@ -71,8 +71,8 @@ class OddValuation:
     @classmethod
     def _trusted(cls, p: int, k: int) -> OddValuation:
         # for p = 3 (mod 4) and odd k >= 1 that the library's own
-        # factorization found, where p has already passed is_prime:
-        # skips the re-check
+        # factorization found, or a prime of a validated construction
+        # modulus, where p is already known prime: skips the re-check
         obj = object.__new__(cls)
         object.__setattr__(obj, "p", p)
         object.__setattr__(obj, "k", k)

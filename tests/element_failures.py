@@ -53,19 +53,25 @@ def outcome(checker: str, failure: str) -> str:
     return "returned"
 
 
-def run_optimized(checker: str) -> list[str]:
-    """This script's output for checker, run by ``python -O``."""
+def python_optimized(*args: str) -> subprocess.CompletedProcess:
+    """``python -O *args`` with the package's source on the path; its exit
+    status must be 0."""
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     path = [str(SRC)] + [p for p in inherited if p]
     proc = subprocess.run(
-        [sys.executable, "-O", __file__, checker],
+        [sys.executable, "-O", *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(path)},
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    return proc
+
+
+def run_optimized(checker: str) -> list[str]:
+    """This script's output for checker, run by ``python -O``."""
+    return python_optimized(__file__, checker).stdout.splitlines()
 
 
 if __name__ == "__main__":

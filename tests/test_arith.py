@@ -296,6 +296,17 @@ class TestFactoredInteger:
     def test_empty_product(self):
         assert FactoredInteger(factors=()).value() == 1
 
+    def test_value_built_once(self):
+        # a second call returns the same int object, not a new product; the
+        # cache leaves equality and hashing to the factors
+        for f in (
+            FactoredInteger(factors=((3, 200), (7, 100))),
+            FactoredInteger._trusted(((3, 200), (7, 100))),
+        ):
+            assert f.value() is f.value() == 3**200 * 7**100
+            assert f == FactoredInteger(factors=f.factors)
+            assert hash(f) == hash(FactoredInteger(factors=f.factors))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FactoredInteger(factors=((4, 1),))  # not prime

@@ -6,8 +6,13 @@ from fractions import Fraction
 import pytest
 
 import twosquare_gaps.cli as cli
+import twosquare_gaps.construction as construction
 import twosquare_gaps.halving as halving
-from twosquare_gaps.construction import construction_to_json, richards_construction
+from twosquare_gaps.construction import (
+    construction_to_json,
+    richards_construction,
+    richards_modulus,
+)
 from twosquare_gaps.halving import NoGoodIntervalError, find_gap_interval
 
 
@@ -268,10 +273,23 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(halving, "verify_covering")
-    counted(halving, "halved_modulus")
+    # the same names in both modules count together
+    for module in (construction, halving):
+        counted(module, "_covering_walk")
+        counted(module, "_offset_residues")
+    counted(halving, "_exceptional_pairs")
     counted(cli, "find_gap_interval")
     target = tmp_path / "halve.json"
     code, _, _ = run(capsys, "halve", "--y", "50", "--out", str(target))
     assert code == 0
-    assert calls == {"verify_covering": 1, "halved_modulus": 1, "find_gap_interval": 1}
+    # one residue pass per odd modulus prime in the covering walk, then one
+    # per large prime of the halved modulus (above delta * y = 25) in the
+    # bad-set screen
+    halved = json.loads(target.read_text())["halved_modulus"]
+    passes = len(richards_modulus(50).factors) + sum(p > 25 for p, _ in halved)
+    assert calls == {
+        "_covering_walk": 1,
+        "_offset_residues": passes,
+        "_exceptional_pairs": 1,
+        "find_gap_interval": 1,
+    }

@@ -1,7 +1,9 @@
 """Differential test: the per-prime residue walk against per-offset scans.
 
-verify_covering, halved_modulus and exceptional_pairs walk each modulus
-prime's offsets j = -shift (mod p) once.  The reference functions below
+One covering walk visits each modulus prime's offsets j = -shift (mod p)
+once and yields both verify_covering's certificates and the largest
+pinned odd valuations halved_modulus reads; exceptional_pairs walks the
+halved modulus's large primes the same way.  The reference functions below
 are the per-offset and per-prime scans they replaced, kept here as
 test-only reference code: the covering tries every prime for every
 offset in ascending order, and the halving references are the stride
@@ -26,6 +28,7 @@ from twosquare_gaps.construction import (
     CoveringCertificate,
     CoveringReport,
     ElementCheck,
+    _covering_walk,
     covering_certificate,
     interval_check,
     richards_construction,
@@ -168,6 +171,13 @@ def assert_same_covering(c: Construction) -> None:
     assert verify_covering(c) == reference_covering(c)
 
 
+def assert_same_pinned(c: Construction) -> None:
+    # the covering walk's largest pinned odd valuation of each odd prime
+    _, pinned = _covering_walk(c, 1, c.y)
+    odd = [p for p, _ in c.modulus.factors if p != 2]
+    assert pinned == {p: reference_max_odd_valuation(c, p) for p in odd}
+
+
 class TestCovering:
     def test_richards_up_to_300(self, richards_sweep):
         for c in richards_sweep[:300]:
@@ -234,7 +244,17 @@ def test_small_constructions(c):
             assert exceptional_pairs(c, delta) == reference_exceptional_pairs(c, delta)
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_constructions())
+def test_small_constructions_pinned(c):
+    assert_same_pinned(c)
+
+
 class TestHalving:
+    def test_pinned_valuations_up_to_500(self, richards_sweep):
+        for c in richards_sweep:
+            assert_same_pinned(c)
+
     def test_halved_modulus_up_to_500(self, richards_sweep):
         for c in richards_sweep:
             for delta in DELTAS:

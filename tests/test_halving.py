@@ -8,6 +8,7 @@ from twosquare_gaps.arith import FactoredInteger, valuation
 from twosquare_gaps.construction import Construction, richards_construction
 from twosquare_gaps.halving import (
     NoGoodIntervalError,
+    _exceptional_pairs,
     efficiency_report,
     enumerate_bad_n,
     exceptional_pairs,
@@ -21,9 +22,21 @@ from twosquare_gaps.halving import (
 )
 from twosquare_gaps.oracle import OddValuation, membership_sieve
 
-from element_failures import FAILURES, MESSAGES, run_optimized
+from element_failures import FAILURES, MESSAGES, python_optimized, run_optimized
 
 HALF = Fraction(1, 2)
+
+# _exceptional_pairs on a large prime at exponent 2, run under python -O
+EXPONENT_CHECK = """
+import sys
+from twosquare_gaps.arith import FactoredInteger
+from twosquare_gaps.halving import _exceptional_pairs
+print("optimize", sys.flags.optimize)
+try:
+    _exceptional_pairs(10, FactoredInteger(((3, 2), (7, 2))), 1, 5)
+except AssertionError as exc:
+    print(exc)
+"""
 
 
 def synthetic_degenerate():
@@ -170,6 +183,17 @@ class TestBadSet:
                     for p in large
                 )
                 assert hit == (n in bad)
+
+    def test_large_prime_exponent_checked(self):
+        # the screen reads residues mod p^2, which needs each large prime
+        # of the halved modulus at exponent 1
+        halved = FactoredInteger(((3, 2), (7, 2)))
+        with pytest.raises(AssertionError, match="large prime 7 has exponent 2"):
+            _exceptional_pairs(10, halved, 1, 5)
+
+    def test_large_prime_exponent_checked_under_optimize(self):
+        proc = python_optimized("-c", EXPONENT_CHECK)
+        assert proc.stdout == "optimize 1\nlarge prime 7 has exponent 2, not 1\n"
 
 
 class TestFindGapInterval:

@@ -83,9 +83,6 @@ class CoveringCertificate:
     offset: int
     certificate: OddValuation | TwoPowerForm
 
-    def to_non_membership(self) -> OddValuation | TwoPowerForm:
-        return self.certificate
-
 
 @dataclass(frozen=True)
 class CoveringReport:

@@ -19,7 +19,12 @@ oracle when the element itself is at most 10^18 (a per-element budget).
 find_gap_interval runs the construction module's covering walk once and
 takes the certificates and each prime's largest pinned odd valuation
 from it; the screen walks the halved modulus's large primes the same
-way (offsets j = -shift mod p only).
+way (offsets j = -shift mod p only).  One private helper derives the
+plan (checked delta, cutoff, halved modulus, reduced shift) for every
+entry point.  A construction the halving leaves unchanged (degenerate)
+needs no special case: a modulus prime at exponent 1 pins nothing and
+drops out, and a large prime keeps exponent 1, so an unchanged modulus
+has no prime above the cutoff, an empty bad set and interval index 0.
 """
 
 from __future__ import annotations
@@ -84,18 +89,13 @@ def has_odd_cover(c: Construction, p: int) -> bool:
 
     True means the prime is still needed after halving.
     """
-    if p == 2 or not c.modulus.exponent(p):
+    e = c.modulus.exponent(p)
+    if p == 2 or not e:
         raise ValueError("p must be an odd prime of the modulus")
-    return _covering_walk(c, 1, c.y)[1][p] > 0
-
-
-def _checked_delta(c: Construction, delta) -> tuple[Fraction, int]:
-    delta = Fraction(delta)
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
-    if delta * c.y <= 2:
-        raise ValueError("delta * y must exceed 2 so the 2-power part stays small")
-    return delta, math.floor(delta * c.y)
+    # the covering walk of p alone: shift mod p^e gives the same residues
+    pe = p**e
+    alone = Construction(c.y, FactoredInteger._trusted(((p, e),)), c.shift % pe or pe)
+    return _covering_walk(alone, 1, c.y)[1][p] > 0
 
 
 def halved_modulus(c: Construction, delta) -> FactoredInteger:
@@ -106,19 +106,29 @@ def halved_modulus(c: Construction, delta) -> FactoredInteger:
     prime gets 1; a prime with no pinned odd valuation drops out; 2 keeps
     its exponent.
     """
-    _, threshold = _checked_delta(c, delta)
-    return _halved(c, _covering_walk(c, 1, c.y)[1], threshold)
+    return _halved(c, _covering_walk(c, 1, c.y)[1], delta)[2]
 
 
-def _halved(c: Construction, pinned: dict[int, int], threshold: int) -> FactoredInteger:
-    # halved_modulus from the pinned valuations of the covering walk
+def _halved(
+    c: Construction, pinned: dict[int, int], delta
+) -> tuple[Fraction, int, FactoredInteger, int]:
+    # the halving plan from the covering walk's pinned valuations: checked
+    # delta, threshold floor(delta*y), halved modulus and reduced shift a0
+    delta = Fraction(delta)
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if delta * c.y <= 2:
+        raise ValueError("delta * y must exceed 2 so the 2-power part stays small")
+    threshold = math.floor(delta * c.y)
     factors = []
     for p, e in c.modulus.factors:
         if p == 2:
             factors.append((p, e))
         elif pinned[p]:
             factors.append((p, pinned[p] + 1 if p <= threshold else 1))
-    return FactoredInteger._trusted(tuple(factors))
+    halved = FactoredInteger._trusted(tuple(factors))
+    v = halved.value()
+    return delta, threshold, halved, c.shift % v or v
 
 
 def reduced_shift(c: Construction, halved: FactoredInteger) -> int:
@@ -166,9 +176,8 @@ def exceptional_pairs(c: Construction, delta) -> list[tuple[int, int, int | None
     n = -((a0+j)/p) * (value/p)^-1 mod p, recorded when it lands in
     [0, floor(delta*y)] and None otherwise.
     """
-    _, threshold = _checked_delta(c, delta)
-    halved = halved_modulus(c, delta)
-    return _exceptional_pairs(c.y, halved, reduced_shift(c, halved), threshold)
+    _, threshold, halved, a0 = _halved(c, _covering_walk(c, 1, c.y)[1], delta)
+    return _exceptional_pairs(c.y, halved, a0, threshold)
 
 
 def enumerate_bad_n(c: Construction, delta) -> frozenset[int]:
@@ -193,26 +202,13 @@ def find_gap_interval(
     table, pinned = _covering_walk(c, 1, c.y)
     if None in table:
         raise ValueError(f"construction is not covered: offset {table.index(None) + 1}")
-    delta, threshold = _checked_delta(c, delta)
-    halved = _halved(c, pinned, threshold)
-    # primes <= threshold at the trimmed exponents the halved modulus keeps
-    small = FactoredInteger._trusted(
-        tuple((p, e) for p, e in halved.factors if p <= threshold)
-    )
-    v = halved.value()
-    a0 = c.shift % v or v
-    degenerate = halved.factors == c.modulus.factors
+    delta, threshold, halved, a0 = _halved(c, pinned, delta)
+    bad = _bad_set(c.y, halved, a0, threshold)
+    chosen = next((n for n in range(threshold + 1) if n not in bad), None)
+    if chosen is None:
+        raise NoGoodIntervalError(bad)
 
-    if degenerate:
-        bad: frozenset[int] = frozenset()
-        chosen = 0
-    else:
-        bad = _bad_set(c.y, halved, a0, threshold)
-        chosen = next((n for n in range(threshold + 1) if n not in bad), None)
-        if chosen is None:
-            raise NoGoodIntervalError(bad)
-
-    base = a0 + chosen * v
+    base = a0 + chosen * halved.value()
     checks = []
     for cert in table:
         nm = cert.certificate
@@ -220,8 +216,8 @@ def find_gap_interval(
             # large prime: the halved modulus pins only one factor of p, so
             # the certificate becomes valuation exactly 1; the element check
             # confirms p*p does not divide the element rather than trusting
-            # the bad-set bookkeeping
-            nm = OddValuation(nm.p, 1)
+            # the bad-set bookkeeping; Construction has validated p
+            nm = OddValuation._trusted(nm.p, 1)
         element = base + cert.offset
         run_oracle = deep_verify or element <= ORACLE_VALUE_LIMIT
         checks.append(
@@ -230,14 +226,17 @@ def find_gap_interval(
     return HalvingResult(
         y=c.y,
         delta=delta,
-        small_part=small,
+        # primes <= threshold at the trimmed exponents the halved modulus keeps
+        small_part=FactoredInteger._trusted(
+            tuple((p, e) for p, e in halved.factors if p <= threshold)
+        ),
         halved_modulus=halved,
         a0=a0,
         bad_n=bad,
         chosen_n=chosen,
         interval=(base + 1, base + c.y),
         certificates=tuple(checks),
-        degenerate=degenerate,
+        degenerate=halved.factors == c.modulus.factors,
     )
 
 

@@ -41,9 +41,6 @@ _SIEVE_WIDTH_CAP = 1 << 26
 _SIEVE_VALUE_CAP = 1 << 50
 _SIEVE_PRIME_BOUND = math.isqrt(_SIEVE_VALUE_CAP)
 
-# (limit, primes = 3 mod 4 up to limit); replaced whole, never mutated
-_prime_table: tuple[int, np.ndarray] = (0, np.zeros(0, dtype=np.int64))
-
 
 @lru_cache(maxsize=4096)
 def _checked_cert_prime(p: int) -> None:
@@ -248,19 +245,17 @@ def certify_non_membership(
 def _primes_3_mod_4(bound: int) -> np.ndarray:
     """Primes p = 3 (mod 4) with p <= bound, ascending, as int64.
 
-    Served from a module table that grows by doubling (up to the square
-    root of the value cap).  Concurrent callers may both rebuild it; each
-    builds a complete table and publishes it with one assignment, and
-    readers work from a local reference, so no reader sees a partial one.
+    Served from a cached table sieved to the next power of two above
+    bound (up to the square root of the value cap).
     """
-    global _prime_table
-    limit, table = _prime_table
-    if bound > limit:
-        limit = max(bound, min(2 * limit, _SIEVE_PRIME_BOUND))
-        primes = _prime_array(limit)
-        table = primes[primes % 4 == 3]
-        _prime_table = (limit, table)
+    table = _prime_table(min(1 << bound.bit_length(), _SIEVE_PRIME_BOUND))
     return table[: np.searchsorted(table, bound, side="right")]
+
+
+@lru_cache(maxsize=None)
+def _prime_table(limit: int) -> np.ndarray:
+    primes = _prime_array(limit)
+    return primes[primes % 4 == 3]
 
 
 def membership_sieve(lo: int, hi: int) -> np.ndarray:

@@ -35,6 +35,7 @@ from twosquare_gaps.construction import (
     verify_covering,
 )
 from twosquare_gaps.halving import (
+    enumerate_bad_n,
     exceptional_pairs,
     find_gap_interval,
     halved_modulus,
@@ -240,8 +241,14 @@ def test_small_constructions(c):
         assert covering_certificate(c, j) == reference_certificate(c, j)
     for delta in DELTAS:
         if delta * c.y > 2:
-            assert halved_modulus(c, delta) == reference_halved_modulus(c, delta)
+            halved = halved_modulus(c, delta)
+            assert halved == reference_halved_modulus(c, delta)
             assert exceptional_pairs(c, delta) == reference_exceptional_pairs(c, delta)
+            if halved == c.modulus:
+                # a degenerate halving has no prime above the cutoff, so the
+                # general path finds no bad index and picks n = 0
+                assert all(p <= math.floor(delta * c.y) for p, _ in halved.factors)
+                assert enumerate_bad_n(c, delta) == frozenset()
 
 
 @settings(max_examples=200, deadline=None)

@@ -68,6 +68,23 @@ class TestHasOddCover:
         c = Construction(y=1, modulus=FactoredInteger(((3, 2),)), shift=3)
         assert not has_odd_cover(c, 3)
 
+    def test_walks_only_p(self, monkeypatch):
+        import twosquare_gaps.construction as construction_mod
+
+        passes = []
+        walk = construction_mod._offset_residues
+
+        def counted(shift, lo, hi, p, pe):
+            passes.append(p)
+            return walk(shift, lo, hi, p, pe)
+
+        monkeypatch.setattr(construction_mod, "_offset_residues", counted)
+        c = richards_construction(50)
+        for p, _ in c.modulus.factors:
+            passes.clear()
+            has_odd_cover(c, p)
+            assert passes == [p]
+
     def test_input_validation(self, richards10):
         with pytest.raises(ValueError):
             has_odd_cover(richards10, 2)

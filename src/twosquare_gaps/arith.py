@@ -283,10 +283,13 @@ class Factorization:
         return self.residual == 1
 
     def __post_init__(self) -> None:
-        prod = self.residual
-        for p, e in self.factors:
-            prod *= p**e
-        if prod != self.n:
+        # adjacent pairs, level by level: one growing product would take
+        # time quadratic in the size of n
+        level = [p**e for p, e in self.factors]
+        level.append(self.residual)
+        while len(level) > 1:
+            level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+        if level[0] != self.n:
             raise ValueError("factorization does not multiply back to n")
 
 

@@ -10,7 +10,10 @@ membership three independent ways:
                         p = 3 (mod 4) among them sits at odd valuation,
                         classify answers without running rho.
 * membership_sieve()    parity sieve over a window: odd part 3 mod 4, or
-                        some p = 3 (mod 4) up to sqrt(hi) at odd power
+                        some p = 3 (mod 4) up to sqrt(hi) at odd power;
+                        2, 3 and 7 start from a periodic tile, and the
+                        primes that hit the window once share one
+                        vector pass
 * certify_non_membership()  certificate search against a caller-supplied
                         prime list, no factorization
 
@@ -249,7 +252,7 @@ def _primes_3_mod_4(bound: int) -> np.ndarray:
     bound (up to the square root of the value cap).
     """
     table = _prime_table(min(1 << bound.bit_length(), _SIEVE_PRIME_BOUND))
-    return table[: np.searchsorted(table, bound, side="right")]
+    return table[: table.searchsorted(bound, side="right")]
 
 
 @lru_cache(maxsize=None)
@@ -258,26 +261,54 @@ def _prime_table(limit: int) -> np.ndarray:
     return primes[primes % 4 == 3]
 
 
+_TILE_PERIOD = 16 * 9 * 49
+
+
+@lru_cache(maxsize=None)
+def _small_prime_tile() -> np.ndarray:
+    # the non-members that 2, 3 and 7 decide alone, over two periods of
+    # 7056: entry i stands for every n = i (mod 7056), and a window
+    # starting at any phase copies its first period with one slice
+    tile = np.zeros(2 * _TILE_PERIOD, dtype=bool)
+    # odd part 3 mod 4 at v_2 = 0, 1, 2
+    tile[3::4] = True
+    tile[6::8] = True
+    tile[12::16] = True
+    # v_p == 1: the multiples of p that p**2 does not divide
+    for p in (3, 7):
+        for r in range(p, p * p, p):
+            tile[r :: p * p] = True
+    return tile
+
+
 def membership_sieve(lo: int, hi: int) -> np.ndarray:
     """Boolean array over [lo, hi]: entry i says whether lo + i is a sum
     of two squares.
 
     A parity sieve on the Fermat-Euler criterion that strides over the
     window and divides none of its values.  n is marked a non-member
-    when its odd part is 3 mod 4 (one stride of 2**(k+2) per k), or when
-    some prime p = 3 (mod 4) with p <= isqrt(hi) divides it to an odd
-    power (a parity mask over the multiples of p, flipped at every
-    multiple of p**2, p**3, ...).  That is exact: n <= hi has at most
-    one prime factor above isqrt(hi), and once every smaller p = 3
-    (mod 4) has even valuation, that factor is 3 mod 4 exactly when the
-    odd part of n is.
+    when its odd part is 3 mod 4, or when some prime p = 3 (mod 4) with
+    p <= isqrt(hi) divides it to an odd power.  That is exact: n <= hi
+    has at most one prime factor above isqrt(hi), and once every smaller
+    p = 3 (mod 4) has even valuation, that factor is 3 mod 4 exactly
+    when the odd part of n is.
+
+    The window starts as copies of a cached tile of period 16 * 9 * 49
+    that holds the odd parts 3 mod 4 at v_2 <= 2 and v_3 = v_7 = 1.
+    Higher powers of two take one stride of 2**(k+2) per k while that
+    stride is shorter than the window, and the few multiples of 2**k
+    left are tested one by one.  Each prime p = 3 (mod 4) below the
+    width keeps a parity mask over its multiples (over those of 9 and
+    49 for 3 and 7), flipped at every multiple of the next powers of p,
+    in one buffer reused by all primes.  A prime at least the width hits
+    the window once at most; those primes take their valuation parity
+    together, in one vector pass.
 
     Cost: about width * loglog(hi) element operations plus one Python
-    step per prime p = 3 (mod 4) up to isqrt(hi) that hits the window.
-    The prime table is cached across calls; the first call near the
-    value cap builds it in about 0.2 s and ~50 MB, after which a
-    1000-wide window there takes about 10 ms.  Width above 2**26 or hi
-    above 2**50 raises CapacityError.
+    step per prime p = 3 (mod 4) below the width and one per power of 2
+    up to the width.  The prime table is cached across calls; the first
+    call near the value cap builds it in about 0.2 s and ~50 MB.  Width
+    above 2**26 or hi above 2**50 raises CapacityError.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
@@ -286,29 +317,64 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
         raise CapacityError(f"window width {width} exceeds {_SIEVE_WIDTH_CAP}")
     if hi > _SIEVE_VALUE_CAP:
         raise CapacityError(f"upper end {hi} exceeds {_SIEVE_VALUE_CAP}")
-    bad = np.zeros(width, dtype=bool)
-    # odd part 3 mod 4: n = 3 * 2**k (mod 2**(k+2))
-    k = 0
-    while 3 << k <= hi:
+    bad = np.empty(width, dtype=bool)
+    phase = lo % _TILE_PERIOD
+    filled = min(width, _TILE_PERIOD)
+    bad[:filled] = _small_prime_tile()[phase : phase + filled]
+    while filled < width:
+        # filled is a whole number of periods, so the prefix repeats
+        copied = min(filled, width - filled)
+        bad[filled : filled + copied] = bad[:copied]
+        filled += copied
+    # odd part 3 mod 4 at v_2 = k >= 3: n = 3 * 2**k (mod 2**(k+2))
+    k = 3
+    while 4 << k < width:
         step = 4 << k
         bad[((3 << k) - lo) % step :: step] = True
         k += 1
+    # the stride now hits the window once at most: test the few multiples
+    # of 2**k left one by one, from the first at or above lo
+    for n in range(-(-lo >> k) << k, hi + 1, 1 << k):
+        if (n >> ((n & -n).bit_length() - 1)) % 4 == 3:
+            bad[n - lo] = True
     primes = _primes_3_mod_4(math.isqrt(hi))
-    starts = (-lo) % primes
-    hits = starts < width
-    for p, s in zip(primes[hits].tolist(), starts[hits].tolist()):
-        # view[i] is m = lo + s + i*p; parity[i] ends up as v_p(m) odd.
+    split = primes.searchsorted(width)
+    # the longest view is over the multiples of 9
+    buffer = np.empty(width // 9 + 1, dtype=bool)
+    for p in primes[:split].tolist():
+        # view[i] is m = lo + s + i*q; parity[i] ends up as v_p(m) odd.
         # Parity stays per prime: a mask shared across primes would let
-        # two odd valuations cancel (21 = 3 * 7).
-        view = bad[s::p]
-        parity = np.ones(len(view), dtype=bool)
-        base = (lo + s) // p
+        # two odd valuations cancel (21 = 3 * 7).  The tile holds v_p = 1
+        # for 3 and 7, so their masks start at the multiples of p**2.
+        q = p * p if p in (3, 7) else p
+        s = -lo % q
+        view = bad[s::q]
+        parity = buffer[: len(view)]
+        parity.fill(q == p)
+        base = (lo + s) // q
         stride = p
-        while stride * p <= hi:
-            first = -base % stride
-            if first < len(parity):
-                flip = parity[first::stride]
-                np.logical_not(flip, out=flip)
+        # once p**j has no multiple among the bases, no higher power has
+        while (first := -base % stride) < len(parity):
+            flip = parity[first::stride]
+            np.logical_not(flip, out=flip)
             stride *= p
         view |= parity
+    # a prime p >= width hits the window once at most, at n = lo + s.
+    # For all such primes at once, m = n / p is divided by p while it
+    # can be, and each division flips the parity of v_p(n).
+    # count_nonzero is cheaper than any() on the few hits of a narrow
+    # window.
+    primes = primes[split:]
+    starts = -lo % primes
+    hits = starts < width
+    if np.count_nonzero(hits):
+        primes, starts = primes[hits], starts[hits]
+        m = (lo + starts) // primes
+        divides = m % primes == 0
+        odd = ~divides
+        while np.count_nonzero(divides):
+            m //= np.where(divides, primes, 1)
+            divides = m % primes == 0
+            odd ^= divides
+        bad[starts[odd]] = True
     return ~bad

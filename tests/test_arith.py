@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from twosquare_gaps.arith import (
     CapacityError,
     FactoredInteger,
+    Factorization,
     _brent_rho,
     _decimal_to_int,
     _int_to_decimal,
@@ -171,6 +172,22 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_factor_list_off_by_one_prime_power_is_rejected(self):
+        primes = sieve_primes(1 << 12)
+        factors = tuple((p, 2) for p in primes)
+        n = math.prod(p * p for p in primes)
+        assert Factorization(n, factors).complete
+        assert Factorization(n * 7919, factors, residual=7919).residual == 7919
+        for i in (0, 1, len(primes) // 2, len(primes) - 1):
+            p = primes[i]
+            short = factors[:i] + ((p, 1),) + factors[i + 1 :]
+            long = factors[:i] + ((p, 3),) + factors[i + 1 :]
+            for wrong in (short, long, factors[:i] + factors[i + 1 :]):
+                with pytest.raises(ValueError):
+                    Factorization(n, wrong)
+        with pytest.raises(ValueError):
+            Factorization(n, factors, residual=7919)
 
     @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=10**12))

@@ -1,17 +1,33 @@
-"""Differential test: the parity sieve against direct x*x + y*y enumeration.
+"""Differential tests for the parity sieve.
 
-enumeration_sieve is test-only reference code.  It marks every
-x*x + y*y (x <= y) in the window, one Python step per x <= sqrt(hi/2),
-so it shares no logic with the Fermat-Euler criterion the library uses.
+Two test-only references:
+
+* enumeration_sieve marks every x*x + y*y (x <= y) in the window, one
+  Python step per x <= sqrt(hi/2), so it shares no logic with the
+  Fermat-Euler criterion the library uses.  It is the independent check,
+  but it is too slow far from the origin.
+* parity_sieve_reference is the parity sieve as it stood before the
+  periodic tile: one stride per power of two up to hi, and one fresh
+  parity mask for every prime p = 3 (mod 4) up to isqrt(hi) that hits
+  the window.  It reaches the value cap, so the library must match it
+  bit for bit (same shape, same dtype) up to 2**50.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosquare_gaps.oracle import membership_sieve
+from twosquare_gaps.arith import CapacityError
+from twosquare_gaps.oracle import (
+    _SIEVE_VALUE_CAP,
+    _SIEVE_WIDTH_CAP,
+    _primes_3_mod_4,
+    membership_sieve,
+)
+from twosquare_gaps.scanner import DEFAULT_SEGMENT_SIZE
 
 
 def enumeration_sieve(lo: int, hi: int) -> np.ndarray:
@@ -58,3 +74,125 @@ def test_fixed_high_windows():
 )
 def test_random_windows(lo, width):
     assert_same(lo, lo + width - 1)
+
+
+def parity_sieve_reference(lo: int, hi: int) -> np.ndarray:
+    if lo < 1 or hi < lo:
+        raise ValueError("need 1 <= lo <= hi")
+    width = hi - lo + 1
+    if width > _SIEVE_WIDTH_CAP:
+        raise CapacityError(f"window width {width} exceeds {_SIEVE_WIDTH_CAP}")
+    if hi > _SIEVE_VALUE_CAP:
+        raise CapacityError(f"upper end {hi} exceeds {_SIEVE_VALUE_CAP}")
+    bad = np.zeros(width, dtype=bool)
+    # odd part 3 mod 4: n = 3 * 2**k (mod 2**(k+2))
+    k = 0
+    while 3 << k <= hi:
+        step = 4 << k
+        bad[((3 << k) - lo) % step :: step] = True
+        k += 1
+    primes = _primes_3_mod_4(math.isqrt(hi))
+    starts = (-lo) % primes
+    hits = starts < width
+    for p, s in zip(primes[hits].tolist(), starts[hits].tolist()):
+        # view[i] is m = lo + s + i*p; parity[i] ends up as v_p(m) odd.
+        # Parity stays per prime: a mask shared across primes would let
+        # two odd valuations cancel (21 = 3 * 7).
+        view = bad[s::p]
+        parity = np.ones(len(view), dtype=bool)
+        base = (lo + s) // p
+        stride = p
+        while stride * p <= hi:
+            first = -base % stride
+            if first < len(parity):
+                flip = parity[first::stride]
+                np.logical_not(flip, out=flip)
+            stride *= p
+        view |= parity
+    return ~bad
+
+
+def assert_as_reference(lo: int, hi: int) -> None:
+    got = membership_sieve(lo, hi)
+    want = parity_sieve_reference(lo, hi)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    diff = np.nonzero(got != want)[0]
+    assert len(diff) == 0, f"sieves differ at {(diff[:5] + lo).tolist()}"
+
+
+def test_reference_against_enumeration():
+    for lo, hi in ((1, 1 << 16), (10**9, 10**9 + 999), (3 << 20, (3 << 20) + 4095)):
+        want = enumeration_sieve(lo, hi)
+        assert np.array_equal(parity_sieve_reference(lo, hi), want)
+
+
+@st.composite
+def windows(draw):
+    width = draw(st.integers(min_value=1, max_value=1 << draw(st.integers(0, 16))))
+    lo = draw(st.integers(min_value=1, max_value=_SIEVE_VALUE_CAP - width + 1))
+    return lo, lo + width - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(window=windows())
+def test_random_windows_to_value_cap(window):
+    assert_as_reference(*window)
+
+
+def _around(n: int, width: int) -> list[tuple[int, int]]:
+    # windows of the given width that start before, at and just after n,
+    # and end at n
+    out = []
+    for lo in (n - width // 2, n, n + 1, n - width + 1):
+        hi = lo + width - 1
+        if lo >= 1 and hi <= _SIEVE_VALUE_CAP:
+            out.append((lo, hi))
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 7, 11, 19])
+def test_windows_around_prime_powers(p):
+    q = p
+    while q <= _SIEVE_VALUE_CAP:
+        for width in (1, 2, p - 1, p, p + 1, 1000):
+            for lo, hi in _around(q, width):
+                assert_as_reference(lo, hi)
+        for width in (1, 50):
+            for lo, hi in _around(q * (q - 1), width):
+                assert_as_reference(lo, hi)
+        q *= p
+
+
+def test_windows_around_three_times_powers_of_two():
+    for k in range(49):
+        n = 3 << k
+        for width in (1, 2, 7, 8, 64, 1000, 4097):
+            for lo, hi in _around(n, width):
+                assert_as_reference(lo, hi)
+
+
+@pytest.mark.parametrize("p", [11, 19, 43, 499, 1999, 8191])
+def test_widths_at_the_single_hit_boundary(p):
+    # p <= isqrt(hi) keeps p in the prime table; a window of width p - 1
+    # may miss p's multiples, p and p + 1 never do
+    for n in (p * p, 3 * p * p, p**3, 7 * p**3, p * (2**40 // p), p * p * (2**42 // (p * p))):
+        if n > _SIEVE_VALUE_CAP // 2:
+            continue
+        for width in (p - 1, p, p + 1):
+            for lo, hi in _around(n, width):
+                assert_as_reference(lo, hi)
+
+
+def test_windows_straddling_tile_periods():
+    period = 16 * 9 * 49
+    for c in (1, 2, 3, 1000, 10**9, 2**30 + 1):
+        n = c * period
+        for width in (1, 2, period - 1, period, period + 1, 2 * period + 3, 5 * period):
+            for lo, hi in _around(n, width):
+                assert_as_reference(lo, hi)
+
+
+def test_default_segments_below_2_24():
+    for lo in range(1, 1 << 24, DEFAULT_SEGMENT_SIZE):
+        assert_as_reference(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, (1 << 24) - 1))
+

@@ -54,19 +54,15 @@ def _prime_array(limit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _small_prime_tree() -> list[list[int]]:
-    # product trees over the primes below 2**16, one per run of 128 primes:
-    # level 0 is the primes, each next level the products of adjacent pairs
-    # (an odd last node is carried up alone), level 7 the 52 roots.  Roots
-    # of ~2000 bits stay in Python's small-object arenas; one tree over all
-    # the primes would keep ~94000-bit integers in the C heap, where numpy's
-    # freed arrays left room, and fragment it (a scan run's peak RSS +4 MB).
-    level = sieve_primes(_SMALL_PRIME_LIMIT)
-    levels = [level]
-    for _ in range(7):
-        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-        levels.append(level)
-    return levels
+def _small_prime_blocks() -> list[tuple[list[int], int]]:
+    # the primes below 2**16 in 52 runs of 128 (the last has 14), each with
+    # its product.  Products of ~2000 bits stay in Python's small-object
+    # arenas; one product of all the primes would keep a ~94000-bit integer
+    # in the C heap, where numpy's freed arrays left room, and fragment it
+    # (a scan run's peak RSS +4 MB).
+    primes = sieve_primes(_SMALL_PRIME_LIMIT)
+    runs = [primes[i : i + 128] for i in range(0, len(primes), 128)]
+    return [(run, math.prod(run)) for run in runs]
 
 
 def prime_count(x: int) -> int:
@@ -296,12 +292,12 @@ class Factorization:
 def factorize(n: int, effort: int = DEFAULT_EFFORT, seed: int = 0) -> Factorization:
     """Factor n >= 1.
 
-    The primes below 2**16 come out of gcds of n with products of 128 of
-    them, split down product trees, instead of trial division.  Then
-    perfect-power extraction and Brent rho work on what is left.  If the
-    rho budget (effort, counted in modular squarings) runs out, the
-    remaining composite is reported as .residual instead of looping
-    forever.
+    The primes below 2**16 come out of gcds of n with the products of
+    runs of 128 of them, each hit run's primes tried against its gcd,
+    instead of trial division of n.  Then perfect-power extraction and
+    Brent rho work on what is left.  If the rho budget (effort,
+    counted in modular squarings) runs out, the remaining composite is
+    reported as .residual instead of looping forever.
     """
     if n < 1:
         raise ValueError("factorize expects n >= 1")
@@ -314,39 +310,32 @@ def _small_factors(n: int) -> tuple[dict[int, int], int]:
     """(counts, m): the exponents of the primes below 2**16 in n, in
     ascending order, and the cofactor m they leave.
 
-    gcd(n, root) is the product of the root's primes that divide n; a
-    root where it is 1 is skipped.  The descent enters a node only with
-    the part of that gcd the node divides, so it visits the tree paths of
-    those primes alone.  n is divided once by the product of the root
-    gcds, which is every such prime to the first power, and only the
-    extra powers are divided out one by one.  m has no prime factor
-    below 2**16, so m < 2**32 is 1 or a prime, which is moved into counts.
+    gcd(n, product of a run) is the product of the run's primes that
+    divide n; a run where it is 1 is skipped.  Otherwise the run's primes
+    are tried against that gcd in ascending order until it is used up.
+    n is divided once by the product of the run gcds, which is every
+    such prime to the first power, and only the extra powers are divided
+    out one by one.  m has no prime factor below 2**16, so m < 2**32 is 1
+    or a prime, which is moved into counts.
     """
-    levels = _small_prime_tree()
-    top = len(levels) - 1
-    counts: dict[int, int] = {}
-    # (depth, index, part of the gcd under that node), pushed so that the
-    # smallest primes pop first
-    stack: list[tuple[int, int, int]] = []
-    for i in range(len(levels[top]) - 1, -1, -1):
-        g = math.gcd(n, levels[top][i])
+    hits = []
+    for run, product in _small_prime_blocks():
+        g = math.gcd(n, product)
         if g > 1:
-            stack.append((top, i, g))
-    m = n // math.prod(g for _, _, g in stack)
-    while stack:
-        depth, i, h = stack.pop()
-        if depth == 0:
-            e = 1
-            while m % h == 0:
-                m //= h
-                e += 1
-            counts[h] = e
-            continue
-        left = math.gcd(h, levels[depth - 1][2 * i])
-        if left < h:
-            stack.append((depth - 1, 2 * i + 1, h // left))
-        if left > 1:
-            stack.append((depth - 1, 2 * i, left))
+            hits.append((run, g))
+    m = n // math.prod(g for _, g in hits)
+    counts: dict[int, int] = {}
+    for run, g in hits:
+        for p in run:
+            if g % p == 0:
+                g //= p
+                e = 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                counts[p] = e
+                if g == 1:
+                    break
     if 1 < m < _SMALL_PRIME_LIMIT * _SMALL_PRIME_LIMIT:
         counts[m] = 1
         m = 1
@@ -365,7 +354,8 @@ def _large_factors(m: int, counts: dict[int, int], effort: int, seed: int) -> in
             continue
         reduced = False
         for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-            if k > v.bit_length():
+            # v = r**k with r > 2**16 needs more than 16 * k bits
+            if 16 * k >= v.bit_length():
                 break
             root = _iroot(v, k)
             if root**k == v:

@@ -300,17 +300,20 @@ def construction_from_json(text: str) -> Construction:
     obj = json.loads(text)
     if not isinstance(obj, dict) or set(obj) != {"y", "factors", "a"}:
         raise ValueError("construction document needs exactly y, factors, a")
+    # type() is int, not isinstance: json.loads reads true and false as
+    # bool, a subclass of int
     y = obj["y"]
-    if not isinstance(y, int) or y < 1:
+    if type(y) is not int or y < 1:
         raise ValueError("y must be a positive integer")
     raw = obj["factors"]
     if not isinstance(raw, list) or not all(
-        isinstance(f, list) and len(f) == 2 and all(isinstance(v, int) for v in f)
+        isinstance(f, list) and len(f) == 2 and all(type(v) is int for v in f)
         for f in raw
     ):
         raise ValueError("factors must be a list of [prime, exponent] pairs")
     a_text = obj["a"]
-    if not isinstance(a_text, str) or not a_text.isdigit():
+    # str.isdigit alone accepts other scripts' digits and superscripts
+    if not isinstance(a_text, str) or not (a_text.isascii() and a_text.isdigit()):
         raise ValueError("a must be a decimal string")
     modulus = FactoredInteger.from_pairs(raw)
     # a in range has at most as many digits as value(P) < 2**bits; a longer

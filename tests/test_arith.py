@@ -1,5 +1,6 @@
 import decimal
 import math
+import random
 import signal
 from contextlib import contextmanager
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twosquare_gaps import arith
 from twosquare_gaps.arith import (
     CapacityError,
     FactoredInteger,
@@ -188,6 +190,28 @@ class TestFactorize:
                     Factorization(n, wrong)
         with pytest.raises(ValueError):
             Factorization(n, factors, residual=7919)
+
+    def test_power_test_skips_roots_below_the_table(self, monkeypatch):
+        # what reaches the perfect-power test has no prime below 2**16, so
+        # v = r**k needs more than 16 * k bits; no k-th root is taken below
+        iroot = arith._iroot
+        calls = []
+
+        def checked_iroot(v, k):
+            assert 16 * k < v.bit_length(), (v, k)
+            calls.append(k)
+            return iroot(v, k)
+
+        monkeypatch.setattr(arith, "_iroot", checked_iroot)
+        rng = random.Random(16)
+        pool = [p for p in range(65537, 70000, 2) if is_prime(p)]
+        for _ in range(40):
+            primes = [rng.choice(pool) for _ in range(rng.randint(2, 4))]
+            n = math.prod(primes)
+            classify(n)
+            fac = factorize(n)
+            assert fac.complete and math.prod(p**e for p, e in fac.factors) == n
+        assert calls
 
     @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=10**12))

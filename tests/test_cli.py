@@ -101,10 +101,18 @@ class TestVerify:
         assert "inadmissible prime 5" in err
 
     def test_parse_error_exit_3(self, capsys, tmp_path):
-        doc = tmp_path / "trunc.json"
-        doc.write_text('{"y": 10, "factors": [[3, 4')
-        code, _, err = run(capsys, "verify", str(doc))
-        assert code == 3 and "malformed" in err
+        doc = tmp_path / "bad.json"
+        for text in (
+            '{"y": 10, "factors": [[3, 4',
+            # JSON booleans are not integers, and a is ASCII digits only
+            '{"y": true, "factors": [[3, 2]], "a": "2"}',
+            '{"y": 1, "factors": [[3, true]], "a": "2"}',
+            '{"y": 1, "factors": [[3, 2]], "a": "\u0662"}',
+            '{"y": 1, "factors": [[3, 2]], "a": "\u00b2"}',
+        ):
+            doc.write_text(text)
+            code, _, err = run(capsys, "verify", str(doc))
+            assert code == 3 and "malformed" in err, text
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))

@@ -196,6 +196,16 @@ class TestConstructionJson:
             construction_from_json('{"y": 1, "factors": [[3, 2]], "a": "2.5"}')
         with pytest.raises(ValueError):
             construction_from_json('{"y": 1, "factors": [[4, 1]], "a": "1"}')
+        # JSON booleans are not integers, and a is ASCII digits only
+        for text in (
+            '{"y": true, "factors": [[3, 2]], "a": "2"}',
+            '{"y": 1, "factors": [[3, true]], "a": "2"}',
+            '{"y": 1, "factors": [[true, 1]], "a": "1"}',
+            '{"y": 1, "factors": [[3, 2]], "a": "\u0662"}',
+            '{"y": 1, "factors": [[3, 2]], "a": "\u00b2"}',
+        ):
+            with pytest.raises(ValueError, match="must be"):
+                construction_from_json(text)
 
     def test_semantic_errors_are_distinct(self):
         with pytest.raises(InadmissibleModulusError):

@@ -38,6 +38,8 @@ from twosquare_gaps.oracle import (
 SMALL_LIMIT = 1 << 16
 TABLE = sieve_primes(SMALL_LIMIT - 1)
 ROOT = math.prod(TABLE)
+# the library screens TABLE in runs of 128 primes
+RUNS = [TABLE[i : i + 128] for i in range(0, len(TABLE), 128)]
 
 
 def reference_brent_rho(n, effort, seed):
@@ -200,6 +202,9 @@ class TestAgainstTrialDivision:
             4294967291,  # largest prime below 2**32: left over after the screen
             3 * 4294967291,
             65537 * 4294967291,
+            65537**2,
+            65537**3 * 65539,
+            (65537 * 65539) ** 2,
         ],
         ids=lambda n: str(n) if n < 10**20 else f"2**{n.bit_length() - 1}",
     )
@@ -218,21 +223,45 @@ class TestAgainstTrialDivision:
             assert_same(n)
 
     def test_root_product(self):
-        # every table prime once: the descent visits every node of every tree,
-        # and no cofactor is left for rho, so one effort covers it
+        # every table prime once: every run is hit and tried through to its
+        # last prime, and no cofactor is left for rho, so one effort covers it
         assert_same(ROOT)
 
     @pytest.mark.parametrize(
         "base, power", [(3, 2001), (65521, 301)], ids=["3**2001", "65521**301"]
     )
     def test_high_prime_power(self, base, power):
-        # the one prime found is divided out once with the root gcds, then
+        # the one prime found is divided out once with the run gcds, then
         # power - 1 more times
         assert_same(base**power)
 
     def test_root_product_with_powers(self):
         # every table prime, three of them at higher powers
         assert_same(ROOT * 2**9 * 3**4 * 65521**2)
+
+    @pytest.mark.parametrize("i", range(len(RUNS)))
+    def test_run_ends(self, i):
+        # the first and the last prime of each run, alone and together
+        first, last = RUNS[i][0], RUNS[i][-1]
+        for n in (first, last, first * last, first**3 * last**2 * 65537):
+            assert_same(n)
+
+    def test_last_prime_of_every_run(self):
+        # every run hit, each tried through to its last prime
+        assert_same(math.prod(run[-1] for run in RUNS))
+
+    def test_run_end_times_large_prime(self):
+        # the last prime of run 0 next to primes above the table: one left
+        # over after the screen, then two that rho has to split
+        assert_same(RUNS[0][127] * 65537)
+        assert_same(RUNS[0][127] ** 2 * 65537 * 65539)
+
+    def test_short_last_run(self):
+        # the 14 primes of the last run, at powers 1 and 2
+        assert len(RUNS[-1]) == 14
+        last = math.prod(RUNS[-1])
+        assert_same(last)
+        assert_same(last**2 * RUNS[-1][0])
 
 
 class RhoCalled(Exception):

@@ -83,14 +83,14 @@ def _miller_rabin_composite(n: int, a: int, d: int, r: int) -> bool:
             return False
     return True
 
-# Deterministic witness sets, smallest published ladders.  Above the last
-# threshold the test falls back to seeded random rounds.
+# Deterministic witness sets from the published ladders (Jaeschke, Math.
+# Comp. 61, 1993, and later), without the rungs a wider one with no more
+# bases covers: (31, 73) takes n < 9080191 from 2047 up, and (2, 7, 61)
+# takes the rest below 4759123141.  Above the last threshold the test
+# falls back to seeded random rounds.
 _MR_LADDER: list[tuple[int, tuple[int, ...]]] = [
     (2047, (2,)),
-    (1373653, (2, 3)),
     (9080191, (31, 73)),
-    (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
     (4759123141, (2, 7, 61)),
     (1122004669633, (2, 13, 23, 1662803)),
     (2152302898747, (2, 3, 5, 7, 11)),
@@ -186,8 +186,6 @@ def mod_inverse(a: int, m: int) -> int:
     """Inverse of a modulo m, in [0, m).  Raises ValueError if gcd(a, m) != 1."""
     if m < 1:
         raise ValueError("modulus must be positive")
-    if m == 1:
-        return 0
     return pow(a, -1, m)
 
 

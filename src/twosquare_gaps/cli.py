@@ -52,9 +52,7 @@ def _write_out(text: str, out: str | None) -> None:
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
-    records = scan_records(
-        args.limit, segment_size=args.segment_size, threads=args.threads
-    )
+    records = scan_records(args.limit, segment_size=args.segment_size)
     _write_out(records_to_csv(records), args.out)
     return 0
 
@@ -71,16 +69,17 @@ def _cmd_richards(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.construction == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
         try:
-            with open(args.construction) as fh:
-                text = fh.read()
+            with open(args.construction, "rb") as fh:
+                data = fh.read()
         except OSError as exc:
             print(f"cannot read construction: {exc}", file=sys.stderr)
             return 3
     try:
-        c = construction_from_json(text)
+        # strict UTF-8 whatever the source; UnicodeDecodeError is a ValueError
+        c = construction_from_json(data.decode("utf-8"))
     except InadmissibleModulusError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -4,11 +4,13 @@ congruence certificate.
 
 The verifier never factors a + j.  All valuations are computed modulo the
 prime powers of P, so verification cost scales with the modulus
-description, not with the size of a.  For each prime p of P the
-residue walk visits only the offsets j = -a (mod p), sum y/p steps over
-all primes, and the same pass yields each odd prime's largest pinned odd
-valuation for the halving module.  Shifts are written and read in
-decimal at any size, past CPython's int<->str digit limit.
+description, not with the size of a.  The residue walk visits only the
+offsets j = -a (mod p) of each odd prime p, sum y/p steps over all
+primes, and those with a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2.
+The same pass yields each odd prime's largest pinned odd valuation for
+the halving module.  Its certificates are bare; the public functions pair
+them with their offsets.  Shifts are written and read in decimal at any
+size, past CPython's int<->str digit limit.
 """
 
 from __future__ import annotations
@@ -135,29 +137,24 @@ def _offset_residues(
     takes (hi - lo)/p steps and reduces the shift modulo pe once.
     """
     r = shift % pe
-    j = lo + (-(r + lo)) % p
-    r = (r + j) % pe
-    while j <= hi:
-        yield j, r
-        j += p
-        r += p
-        if r >= pe:
-            r -= pe
+    return ((j, (r + j) % pe) for j in range(lo + (-(r + lo)) % p, hi + 1, p))
 
 
 def _covering_walk(
     c: Construction, lo: int, hi: int
-) -> tuple[list[CoveringCertificate | None], dict[int, int]]:
+) -> tuple[list[OddValuation | TwoPowerForm | None], dict[int, int]]:
     """Certificate of each offset lo..hi (at index j - lo), None where no
     condition matches, and each odd prime's largest pinned odd valuation
     on lo..hi (0 if none), from one residue walk per modulus prime.
 
     Odd primes are walked in ascending order and an offset keeps the first
-    odd valuation the modulus pins (shift + j not 0 mod p^e); only offsets
-    still open are tried against the two-power condition.  Construction
-    has validated the primes, so the certificates skip the re-check.
+    odd valuation the modulus pins (shift + j not 0 mod p^e).  Then 2^e
+    gives the offsets still open with shift + j = 3 * 2^k (mod 2^(k+2))
+    the two-power form k, one progression per k + 2 <= e, up to the first
+    k that divides no shift + j.  Construction has validated the primes,
+    so the certificates skip the re-check.
     """
-    table: list[CoveringCertificate | None] = [None] * (hi - lo + 1)
+    table: list[OddValuation | TwoPowerForm | None] = [None] * (hi - lo + 1)
     pinned: dict[int, int] = {}
     e2 = 0
     for p, e in c.modulus.factors:
@@ -172,18 +169,17 @@ def _covering_walk(
                     if k > best:
                         best = k
                     if table[j - lo] is None:
-                        nm = OddValuation._trusted(p, k)
-                        table[j - lo] = CoveringCertificate(j, nm)
+                        table[j - lo] = OddValuation._trusted(p, k)
         pinned[p] = best
-    if e2:
-        rbase = c.shift % (1 << e2)
-        for j in range(lo, hi + 1):
+    # shift + j is a multiple of 2^k first at j = lo + (-x mod 2^k)
+    x = (c.shift + lo) % (1 << e2)
+    for k in range(e2 - 1):
+        if lo + (-x & ((1 << k) - 1)) > hi:
+            break
+        step, cert = 4 << k, TwoPowerForm(k)
+        for j in range(lo + (((3 << k) - x) & (step - 1)), hi + 1, step):
             if table[j - lo] is None:
-                r = (rbase + j) % (1 << e2)
-                if r:
-                    k = valuation(r, 2)
-                    if k + 2 <= e2 and (r >> k) % 4 == 3:
-                        table[j - lo] = CoveringCertificate(j, TwoPowerForm(k))
+                table[j - lo] = cert
     return table, pinned
 
 
@@ -195,15 +191,26 @@ def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | 
     """
     if not 1 <= offset <= c.y:
         raise ValueError("offset must be in [1, y]")
-    return _covering_walk(c, offset, offset)[0][0]
+    cert = _covering_walk(c, offset, offset)[0][0]
+    return None if cert is None else CoveringCertificate(offset, cert)
 
 
 def verify_covering(c: Construction) -> CoveringReport:
     """Check all offsets 1..y; the report ends at the least uncovered one."""
     table, _ = _covering_walk(c, 1, c.y)
-    first = next((j for j, cert in enumerate(table, 1) if cert is None), None)
-    certs = table if first is None else table[: first - 1]
-    return CoveringReport(y=c.y, certificates=tuple(certs), first_uncovered=first)
+    n = table.index(None) if None in table else c.y
+    certs = tuple(CoveringCertificate(j, table[j - 1]) for j in range(1, n + 1))
+    return CoveringReport(c.y, certs, n + 1 if n < c.y else None)
+
+
+def _covered_walk(
+    c: Construction,
+) -> tuple[list[OddValuation | TwoPowerForm], dict[int, int]]:
+    # the covering walk over 1..y, which must certify every offset
+    table, pinned = _covering_walk(c, 1, c.y)
+    if None in table:
+        raise ValueError(f"construction is not covered: offset {table.index(None) + 1}")
+    return table, pinned
 
 
 @dataclass(frozen=True)
@@ -264,16 +271,11 @@ def interval_check(
     the oracle budget (10^18, lifted by deep_verify).  The two routes are
     never collapsed: a certificate is derived from congruences only.
     """
-    report = verify_covering(c)
-    if not report.ok:
-        raise ValueError(f"construction is not covered: offset {report.first_uncovered}")
+    table, _ = _covered_walk(c)
     run_oracle = deep_verify or c.modulus.value() <= ORACLE_VALUE_LIMIT
     return [
-        _check_element(
-            cert.offset, c.shift + cert.offset, cert.certificate, run_oracle,
-            effort, seed,
-        )
-        for cert in report.certificates
+        _check_element(j, c.shift + j, cert, run_oracle, effort, seed)
+        for j, cert in enumerate(table, 1)
     ]
 
 

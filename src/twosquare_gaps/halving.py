@@ -46,6 +46,7 @@ from .construction import (
     Construction,
     ElementCheck,
     _check_element,
+    _covered_walk,
     _covering_walk,
     _offset_residues,
     richards_construction,
@@ -199,9 +200,7 @@ def find_gap_interval(
     (deep_verify lifts the budget).  Raises NoGoodIntervalError when the
     bad set swallows every index, and ValueError if c is not covered.
     """
-    table, pinned = _covering_walk(c, 1, c.y)
-    if None in table:
-        raise ValueError(f"construction is not covered: offset {table.index(None) + 1}")
+    table, pinned = _covered_walk(c)
     delta, threshold, halved, a0 = _halved(c, pinned, delta)
     bad = _bad_set(c.y, halved, a0, threshold)
     chosen = next((n for n in range(threshold + 1) if n not in bad), None)
@@ -210,19 +209,16 @@ def find_gap_interval(
 
     base = a0 + chosen * halved.value()
     checks = []
-    for cert in table:
-        nm = cert.certificate
+    for j, nm in enumerate(table, 1):
         if isinstance(nm, OddValuation) and nm.p > threshold:
             # large prime: the halved modulus pins only one factor of p, so
             # the certificate becomes valuation exactly 1; the element check
             # confirms p*p does not divide the element rather than trusting
             # the bad-set bookkeeping; Construction has validated p
             nm = OddValuation._trusted(nm.p, 1)
-        element = base + cert.offset
+        element = base + j
         run_oracle = deep_verify or element <= ORACLE_VALUE_LIMIT
-        checks.append(
-            _check_element(cert.offset, element, nm, run_oracle, effort, seed)
-        )
+        checks.append(_check_element(j, element, nm, run_oracle, effort, seed))
     return HalvingResult(
         y=c.y,
         delta=delta,

@@ -29,7 +29,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .oracle import membership_sieve
+from .arith import CapacityError
+from .oracle import _SIEVE_VALUE_CAP, membership_sieve
 
 # Reference slopes for gap/ln comparisons: the plain covering construction
 # supports the first, exponent halving doubles it.
@@ -144,9 +145,13 @@ def scan_records(
     first record.  Output is independent of segment_size.  threads is
     accepted and ignored: every value runs the same sequential loop,
     because a thread pool over segments scanned slower than one thread.
+    A limit above the sieve's value cap, 2**50, raises CapacityError
+    before any segment is sieved.
     """
     if limit < 2:
         raise ValueError("limit must be >= 2")
+    if limit > _SIEVE_VALUE_CAP:
+        raise CapacityError(f"limit {limit} exceeds {_SIEVE_VALUE_CAP}")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
     records: list[GapRecord] = []
@@ -155,7 +160,8 @@ def scan_records(
     for lo in range(1, limit + 1, segment_size):
         seg = membership_sieve(lo, min(lo + segment_size - 1, limit))
         runs = _zero_words(best)
-        if prev is None or runs < 1:
+        # runs < 1 while best < 15, and so while best == 0 and prev is None
+        if runs < 1:
             prev, best = _dense_merge(seg, lo, prev, best, records)
         else:
             prev, best = _sparse_merge(seg, lo, prev, best, runs, records)
@@ -168,7 +174,7 @@ def max_gap(limit: int) -> int:
 
 
 def trend_report(limits: list[int]) -> list[tuple[int, int, float]]:
-    """Rows (X, g(X), g(X)/ln X) for an ascending list of cutoffs.
+    """Rows (X, g(X), g(X)/ln X) for an ascending list of cutoffs >= 2.
 
     Compare the last column against GAP_RATE_PLAIN and GAP_RATE_HALVED.
     """
@@ -176,6 +182,8 @@ def trend_report(limits: list[int]) -> list[tuple[int, int, float]]:
         raise ValueError("limits must be strictly ascending")
     if not limits:
         return []
+    if limits[0] < 2:
+        raise ValueError("limits must be >= 2")
     records = scan_records(limits[-1])
     rows = []
     for x in limits:

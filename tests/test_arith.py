@@ -16,6 +16,7 @@ from twosquare_gaps.arith import (
     _brent_rho,
     _decimal_to_int,
     _int_to_decimal,
+    _miller_rabin_composite,
     factorize,
     integer_log,
     is_prime,
@@ -36,6 +37,38 @@ def naive_is_prime(n):
             return False
         d += 1
     return True
+
+
+# The Miller-Rabin ladder below 4759123141 before its dominated rungs were
+# dropped, kept as test-only reference code for is_prime.
+REFERENCE_MR_LADDER = [
+    (2047, (2,)),
+    (1373653, (2, 3)),
+    (9080191, (31, 73)),
+    (25326001, (2, 3, 5)),
+    (3215031751, (2, 3, 5, 7)),
+    (4759123141, (2, 7, 61)),
+]
+
+# strong pseudoprimes to each rung's bases, the least first
+STRONG_PSEUDOPRIMES = {
+    (2,): [2047, 3277, 4033, 4681, 8321],
+    (2, 3): [1373653, 1530787, 1987021, 2284453, 3116107, 5173601, 6787327, 11541307],
+    (31, 73): [9080191],
+    (2, 3, 5): [25326001, 161304001, 960946321, 1157839381, 3215031751],
+    (2, 3, 5, 7): [3215031751],
+    (2, 7, 61): [4759123141],
+}
+
+
+def reference_is_prime(n):
+    # odd n with 2047 <= n < 4759123141, on the reference ladder
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    bases = next(b for bound, b in REFERENCE_MR_LADDER if n < bound)
+    return not any(_miller_rabin_composite(n, a, d, r) for a in bases)
 
 
 class TestSievePrimes:
@@ -70,6 +103,28 @@ class TestIsPrime:
         assert not is_prime(3215031751)  # strong pseudoprime to 2,3,5,7
         assert is_prime(1000000000000000009)
         assert not is_prime(88135877101041)
+
+    @pytest.mark.parametrize(
+        "lo, hi", [(2047, 1373653), (9080191, 25326001), (25326001, 3215031751)]
+    )
+    def test_dropped_rungs_match_reference(self, lo, hi):
+        # the bands whose rung gave way to a wider one with no more bases
+        rng = random.Random(lo)
+        for _ in range(3000):
+            n = rng.randrange(lo, hi) | 1
+            assert is_prime(n) == reference_is_prime(n), n
+
+    def test_strong_pseudoprimes(self):
+        for bases, ns in STRONG_PSEUDOPRIMES.items():
+            for n in ns:
+                d, r = n - 1, 0
+                while d % 2 == 0:
+                    d //= 2
+                    r += 1
+                assert not any(_miller_rabin_composite(n, a, d, r) for a in bases)
+                assert not is_prime(n), n
+                if n < REFERENCE_MR_LADDER[-1][0]:
+                    assert not reference_is_prime(n), n
 
     def test_beyond_deterministic_range(self):
         # 2**89 - 1 is a Mersenne prime; its square exercises the seeded rounds

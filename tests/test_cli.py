@@ -22,6 +22,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def stdin_of(data: bytes) -> io.TextIOWrapper:
+    # a text stream over raw bytes, as sys.stdin is; verify reads its buffer
+    return io.TextIOWrapper(io.BytesIO(data))
+
+
 class TestScan:
     def test_limit_30(self, capsys):
         code, out, _ = run(capsys, "scan", "--limit", "30")
@@ -54,8 +59,10 @@ class TestScan:
         assert target.read_text() == direct
 
     def test_bad_limit(self, capsys):
-        code, _, err = run(capsys, "scan", "--limit", "1")
-        assert code == 1 and "error" in err
+        # below 2, and above the sieve's value cap 2**50
+        for limit in (1, 2**50 + 1):
+            code, _, err = run(capsys, "scan", "--limit", str(limit))
+            assert code == 1 and "error" in err
 
 
 class TestRichards:
@@ -89,7 +96,7 @@ class TestVerify:
 
     def test_round_trip_via_stdin(self, capsys, monkeypatch):
         text = construction_to_json(richards_construction(3))
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", stdin_of(text.encode()))
         code, out, _ = run(capsys, "verify")
         assert code == 0 and "covered: 3/3" in out
 
@@ -113,6 +120,17 @@ class TestVerify:
             doc.write_text(text)
             code, _, err = run(capsys, "verify", str(doc))
             assert code == 3 and "malformed" in err, text
+
+    def test_not_utf8_exit_3(self, capsys, tmp_path, monkeypatch):
+        # a byte 0xff is malformed from a file and from stdin alike
+        data = b"\xff" + construction_to_json(richards_construction(3)).encode()
+        doc = tmp_path / "bad.json"
+        doc.write_bytes(data)
+        code, out, err = run(capsys, "verify", str(doc))
+        assert (code, out) == (3, "") and err.startswith("malformed construction")
+        monkeypatch.setattr("sys.stdin", stdin_of(data))
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (3, "") and err.startswith("malformed construction")
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
@@ -210,7 +228,7 @@ def test_pipe_round_trip(capsys, monkeypatch):
     # richards | verify, exactly as the two commands compose in a shell
     code, out, _ = run(capsys, "richards", "--y", "10")
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    monkeypatch.setattr("sys.stdin", stdin_of(out.encode()))
     code, out, _ = run(capsys, "verify")
     assert code == 0 and "covered: 10/10" in out
 

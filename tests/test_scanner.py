@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from twosquare_gaps.arith import CapacityError
 from twosquare_gaps.oracle import Member, classify, membership_sieve
 from twosquare_gaps.scanner import (
     GAP_RATE_HALVED,
@@ -33,6 +34,10 @@ class TestScanRecords:
             scan_records(1)
         with pytest.raises(ValueError):
             scan_records(100, segment_size=0)
+        # above the sieve's value cap, raised before the first segment
+        for scan in (scan_records, max_gap, lambda limit: trend_report([10, limit])):
+            with pytest.raises(CapacityError):
+                scan(2**50 + 1)
 
     def test_gaps_strictly_increase(self):
         recs = scan_records(10**5)
@@ -104,6 +109,11 @@ class TestTrendReport:
     def test_requires_ascending(self):
         with pytest.raises(ValueError):
             trend_report([100, 50])
+
+    def test_cutoff_below_2(self):
+        for limits in ([1, 10], [0, 10], [-5]):
+            with pytest.raises(ValueError, match="limits must be >= 2"):
+                trend_report(limits)
 
     def test_g_column_nondecreasing(self):
         rows = trend_report([10, 100, 1000, 10**4])

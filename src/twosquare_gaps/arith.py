@@ -116,11 +116,7 @@ def is_prime(n: int, seed: int = 0) -> bool:
         return True
     if n % 2 == 0:
         return False
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    d = (n - 1) >> (r := valuation(n - 1, 2))
     for bound, bases in _MR_LADDER:
         if n < bound:
             return not any(
@@ -143,6 +139,8 @@ def valuation(n: int, p: int) -> int:
         raise ValueError("valuation of 0 is undefined")
     if p < 2:
         raise ValueError("p must be >= 2")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     n = abs(n)
     k = 0
     while n % p == 0:
@@ -423,6 +421,6 @@ class FactoredInteger:
 
     def exponent(self, p: int) -> int:
         for q, e in self.factors:
-            if q == p:
-                return e
+            if q >= p:
+                return e if q == p else 0
         return 0

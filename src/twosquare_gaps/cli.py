@@ -145,6 +145,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fraction(text: str) -> Fraction:
+    # argparse reports ValueError, not the ZeroDivisionError of "1/0"
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process; parse_args leaves the parser unchanged
@@ -175,7 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("halve", help="halve the modulus and certify an interval")
     p.add_argument("--y", type=int, required=True)
-    p.add_argument("--delta", type=Fraction, default=Fraction(1, 2),
+    p.add_argument("--delta", type=_fraction, default=Fraction(1, 2),
                    help="rational in (0,1), e.g. 1/2 or 0.5")
     p.add_argument("--deep-verify", action="store_true",
                    help="factor every interval element regardless of size")
@@ -186,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="efficiency table for a list of y values")
     p.add_argument("--y-list", required=True,
                    help="comma separated y values, empty for header only")
-    p.add_argument("--delta", type=Fraction, default=Fraction(1, 2))
+    p.add_argument("--delta", type=_fraction, default=Fraction(1, 2))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bounds)
 

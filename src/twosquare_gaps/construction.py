@@ -6,8 +6,9 @@ The verifier never factors a + j.  All valuations are computed modulo the
 prime powers of P, so verification cost scales with the modulus
 description, not with the size of a.  The residue walk visits only the
 offsets j = -a (mod p) of each odd prime p, sum y/p steps over all
-primes, and those with a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2.
-The same pass yields each odd prime's largest pinned odd valuation for
+primes, and those with a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2,
+found by the two-power pass the membership sieve also uses.
+The walk also yields each odd prime's largest pinned odd valuation for
 the halving module.  Its certificates are bare; the public functions pair
 them with their offsets.  Shifts are written and read in decimal at any
 size, past CPython's int<->str digit limit.
@@ -30,7 +31,9 @@ from .arith import (
     sieve_primes,
     valuation,
 )
-from .oracle import Member, NonMember, OddValuation, TwoPowerForm, classify
+from .oracle import (
+    Member, NonMember, OddValuation, TwoPowerForm, _two_power_hits, classify
+)
 
 ORACLE_VALUE_LIMIT = 10**18
 _LOG10_2 = math.log10(2)
@@ -150,16 +153,17 @@ def _covering_walk(
     Odd primes are walked in ascending order and an offset keeps the first
     odd valuation the modulus pins (shift + j not 0 mod p^e).  Then 2^e
     gives the offsets still open with shift + j = 3 * 2^k (mod 2^(k+2))
-    the two-power form k, one progression per k + 2 <= e, up to the first
-    k that divides no shift + j.  Construction has validated the primes,
-    so the certificates skip the re-check.
+    the two-power form k, k + 2 <= e, through the sieve's two-power pass:
+    one progression per k while its stride is shorter than the window,
+    then each multiple of 2^k left decided alone by its residue mod 2^e,
+    so 2^e takes about log2 of the window's width in steps, whatever e.
+    Construction has validated the primes, so the certificates skip the
+    re-check.
     """
     table: list[OddValuation | TwoPowerForm | None] = [None] * (hi - lo + 1)
     pinned: dict[int, int] = {}
-    e2 = 0
     for p, e in c.modulus.factors:
         if p == 2:
-            e2 = e
             continue
         best, pp = 0, p * p
         for j, r in _offset_residues(c.shift, lo, hi, p, p**e):
@@ -171,15 +175,12 @@ def _covering_walk(
                     if table[j - lo] is None:
                         table[j - lo] = OddValuation._trusted(p, k)
         pinned[p] = best
-    # shift + j is a multiple of 2^k first at j = lo + (-x mod 2^k)
-    x = (c.shift + lo) % (1 << e2)
-    for k in range(e2 - 1):
-        if lo + (-x & ((1 << k) - 1)) > hi:
-            break
-        step, cert = 4 << k, TwoPowerForm(k)
-        for j in range(lo + (((3 << k) - x) & (step - 1)), hi + 1, step):
-            if table[j - lo] is None:
-                table[j - lo] = cert
+    e2 = c.modulus.exponent(2)
+    for first, step, k in _two_power_hits(c.shift + lo, len(table), 0, e2):
+        cert = TwoPowerForm(k)
+        for i in range(first, len(table), step):
+            if table[i] is None:
+                table[i] = cert
     return table, pinned
 
 

@@ -24,6 +24,7 @@ against each other.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -108,6 +109,20 @@ def _two_power_form(n: int) -> TwoPowerForm | None:
     # the two-power certificate of n >= 1, if its odd part is 3 mod 4
     k = valuation(n, 2)
     return TwoPowerForm(k) if (n >> k) % 4 == 3 else None
+
+
+def _two_power_hits(
+    x: int, width: int, k0: int, cap: int
+) -> Iterator[tuple[int, int, int]]:
+    # range(first, width, step) are the i with x + i = 3 * 2**k (mod 4 * 2**k),
+    # k0 <= k <= cap - 2; strided while 4 * 2**k < width, then i by i mod 2**cap
+    for k in range(k0, cap - 1):
+        if 4 << k >= width:
+            for i in range(-x & ((1 << k) - 1), width, 1 << k):
+                if (r := (x + i) % (1 << cap)) and (form := _two_power_form(r)):
+                    yield i, 4 << form.k, form.k
+            return
+        yield ((3 << k) - x) & ((4 << k) - 1), 4 << k, k
 
 
 @dataclass(frozen=True)
@@ -271,9 +286,8 @@ def _small_prime_tile() -> np.ndarray:
     # starting at any phase copies its first period with one slice
     tile = np.zeros(2 * _TILE_PERIOD, dtype=bool)
     # odd part 3 mod 4 at v_2 = 0, 1, 2
-    tile[3::4] = True
-    tile[6::8] = True
-    tile[12::16] = True
+    for first, step, _ in _two_power_hits(0, 2 * _TILE_PERIOD, 0, 4):
+        tile[first::step] = True
     # v_p == 1: the multiples of p that p**2 does not divide
     for p in (3, 7):
         for r in range(p, p * p, p):
@@ -295,9 +309,10 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
 
     The window starts as copies of a cached tile of period 16 * 9 * 49
     that holds the odd parts 3 mod 4 at v_2 <= 2 and v_3 = v_7 = 1.
-    Higher powers of two take one stride of 2**(k+2) per k while that
-    stride is shorter than the window, and the few multiples of 2**k
-    left are tested one by one.  Each prime p = 3 (mod 4) below the
+    Higher powers of two come from _two_power_hits, the two-power pass
+    the tile and the covering walk share: one stride of 2**(k+2) per k
+    while that stride is shorter than the window, then the few multiples
+    of 2**k left, each decided alone.  Each prime p = 3 (mod 4) below the
     width keeps a parity mask over its multiples (over those of 9 and
     49 for 3 and 7), flipped at every multiple of the next powers of p,
     in one buffer reused by all primes.  A prime at least the width hits
@@ -326,17 +341,8 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
         copied = min(filled, width - filled)
         bad[filled : filled + copied] = bad[:copied]
         filled += copied
-    # odd part 3 mod 4 at v_2 = k >= 3: n = 3 * 2**k (mod 2**(k+2))
-    k = 3
-    while 4 << k < width:
-        step = 4 << k
-        bad[((3 << k) - lo) % step :: step] = True
-        k += 1
-    # the stride now hits the window once at most: test the few multiples
-    # of 2**k left one by one, from the first at or above lo
-    for n in range(-(-lo >> k) << k, hi + 1, 1 << k):
-        if (n >> ((n & -n).bit_length() - 1)) % 4 == 3:
-            bad[n - lo] = True
+    for first, step, _ in _two_power_hits(lo, width, 3, hi.bit_length() + 2):
+        bad[first::step] = True
     primes = _primes_3_mod_4(math.isqrt(hi))
     split = primes.searchsorted(width)
     # the longest view is over the multiples of 9
@@ -377,4 +383,4 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
             divides = m % primes == 0
             odd ^= divides
         bad[starts[odd]] = True
-    return ~bad
+    return np.logical_not(bad, out=bad)

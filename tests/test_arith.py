@@ -136,6 +136,16 @@ class TestIsPrime:
         assert is_prime(n) == naive_is_prime(n)
 
 
+def reference_valuation_2(n: int) -> int:
+    # the division loop valuation(n, 2) ran before it read the lowest set bit
+    n = abs(n)
+    k = 0
+    while n % 2 == 0:
+        n //= 2
+        k += 1
+    return k
+
+
 class TestValuation:
     def test_basic(self):
         assert valuation(54, 3) == 3
@@ -149,6 +159,22 @@ class TestValuation:
             valuation(0, 3)
         with pytest.raises(ValueError):
             valuation(10, 1)
+
+    @given(
+        st.integers(min_value=-(2**4000), max_value=2**4000).filter(bool),
+        st.integers(0, 5000),
+    )
+    def test_two_matches_division_loop(self, u, k):
+        for n in (u, u << k, -(u << k)):
+            assert valuation(n, 2) == reference_valuation_2(n)
+
+    def test_two_at_powers_and_huge(self):
+        for k in (0, 1, 2, 62, 63, 64, 65, 1000, 100000):
+            for n in (1 << k, -(1 << k), 3 << k, -(5 << k), (1 << (k + 7)) - (1 << k)):
+                assert valuation(n, 2) == reference_valuation_2(n) == k
+        assert valuation(2**100000 - 1, 2) == 0
+        with pytest.raises(ValueError):
+            valuation(0, 2)
 
     @given(st.integers(min_value=1, max_value=10**9), st.sampled_from([2, 3, 7, 11]))
     def test_divides_exactly(self, n, p):

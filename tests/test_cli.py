@@ -224,6 +224,20 @@ class TestBounds:
         assert len(out.strip().split("\n")) == 3
 
 
+@pytest.mark.parametrize("value", ["1/0", "abc"])
+@pytest.mark.parametrize(
+    "argv", [["halve", "--y", "10"], ["bounds", "--y-list", "10"]], ids=["halve", "bounds"]
+)
+def test_bad_delta_exit_2(capsys, argv, value):
+    # argparse's own error for a value Fraction cannot parse, also for "1/0",
+    # whose ZeroDivisionError argparse would not catch
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--delta", value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: argument --delta: invalid Fraction value: '{value}'\n")
+
+
 def test_pipe_round_trip(capsys, monkeypatch):
     # richards | verify, exactly as the two commands compose in a shell
     code, out, _ = run(capsys, "richards", "--y", "10")

@@ -15,6 +15,7 @@ budgets (value(P) per construction, the element itself in halving).
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,17 @@ class TestCovering:
         hole = Construction(y=1, modulus=FactoredInteger(((3, 1),)), shift=2)
         assert verify_covering(hole) == reference_covering(hole)
 
+    @pytest.mark.parametrize("v", [100000, 99999])
+    def test_huge_two_power_is_fast(self, v):
+        # shift + 1 = 2**v is 0 mod 2**100000, or 2**99999, which pins no
+        # two-power form; the walk decides it alone instead of stepping k
+        c = Construction(y=5, modulus=FactoredInteger(((2, 100000),)), shift=2**v - 1)
+        start = time.perf_counter()
+        report = verify_covering(c)
+        assert time.perf_counter() - start < 0.5
+        assert report.first_uncovered == 1
+        assert report == reference_covering(c)
+
     def test_two_power_with_holes(self):
         m = FactoredInteger(((2, 5), (3, 3), (7, 2), (11, 1)))
         for shift in range(1, 400, 7):
@@ -224,12 +236,23 @@ def small_constructions(draw):
         st.lists(st.sampled_from(ODD_PRIMES_3_MOD_4), min_size=1, max_size=6, unique=True)
     )
     factors = [(p, draw(st.integers(1, 4))) for p in sorted(primes)]
-    e2 = draw(st.integers(0, 6))
+    e2 = draw(st.integers(0, 64))
     if e2:
         factors.insert(0, (2, e2))
     modulus = FactoredInteger(tuple(factors))
-    shift = draw(st.integers(1, modulus.value()))
+    value = modulus.value()
     y = draw(st.integers(1, 40))
+    shift = draw(st.integers(1, value))
+    if e2 and draw(st.booleans()):
+        # move shift mod 2**e2 so that shift + j0 = 2**v * u at one offset j0,
+        # with u odd and v high, v = e2 giving residue 0: past the window's
+        # width the walk decides that offset alone
+        pe, odd = 1 << e2, value >> e2
+        j0 = draw(st.integers(1, y))
+        v = draw(st.integers(max(0, e2 - 8), e2))
+        u = draw(st.integers(0, pe - 1)) | 1
+        t = ((u << v) - j0 - shift) * mod_inverse(odd, pe) % pe
+        shift = (shift + odd * t) % value or value
     return Construction(y=y, modulus=modulus, shift=shift)
 
 

@@ -141,11 +141,25 @@ def valuation(n: int, p: int) -> int:
         raise ValueError("p must be >= 2")
     if p == 2:
         return (n & -n).bit_length() - 1
+    # divide by p, p^2, p^4, ... while it divides, then step back down the
+    # same powers: about 2 log2(k) big divisions instead of k
     n = abs(n)
-    k = 0
-    while n % p == 0:
-        n //= p
-        k += 1
+    powers = []
+    pw = p
+    while True:
+        q, r = divmod(n, pw)
+        if r:
+            break
+        n = q
+        powers.append(pw)
+        pw *= pw
+    # v_p(n) is now below 2^len(powers)
+    k = (1 << len(powers)) - 1
+    for i in range(len(powers) - 1, -1, -1):
+        q, r = divmod(n, powers[i])
+        if not r:
+            n = q
+            k += 1 << i
     return k
 
 

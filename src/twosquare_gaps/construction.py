@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from .arith import (
@@ -285,13 +285,31 @@ def modulus_growth(y: int) -> float:
     return richards_modulus(y).log() / y
 
 
+# The construction and halving documents are written row by row from
+# templates, in the exact layout of json.dumps(obj, indent=2) + "\n"; with
+# indent set, CPython serves json.dumps by its pure-Python encoder.  Both
+# documents hold ints and strings that need no escaping: decimal digits
+# from _int_to_decimal and str(Fraction).  Every list is the value of a
+# top-level key.
+_PAIR_ROW = "[\n      {},\n      {}\n    ]"
+
+
+def _json_list(rows: Iterable[str]) -> str:
+    """A top-level key's list of rendered rows, [] when there are none."""
+    body = ",\n    ".join(rows)
+    return f"[\n    {body}\n  ]" if body else "[]"
+
+
+def _json_pairs(pairs: Iterable[tuple[int, int]]) -> str:
+    return _json_list(_PAIR_ROW.format(p, e) for p, e in pairs)
+
+
 def construction_to_json(c: Construction) -> str:
-    obj = {
-        "y": c.y,
-        "factors": [[p, e] for p, e in c.modulus.factors],
-        "a": _int_to_decimal(c.shift),
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    return (
+        f'{{\n  "y": {c.y},\n'
+        f'  "factors": {_json_pairs(c.modulus.factors)},\n'
+        f'  "a": "{_int_to_decimal(c.shift)}"\n}}\n'
+    )
 
 
 def construction_from_json(text: str) -> Construction:

@@ -29,7 +29,6 @@ has no prime above the cutoff, an empty bad set and interval index 0.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,6 +47,8 @@ from .construction import (
     _check_element,
     _covered_walk,
     _covering_walk,
+    _json_list,
+    _json_pairs,
     _offset_residues,
     richards_construction,
 )
@@ -279,21 +280,28 @@ def small_prime_contribution(c: Construction, eps, check_bound: bool = True) -> 
     return num / den if den else 0.0
 
 
+_ODD_ROW = '[\n      {},\n      "odd",\n      {},\n      {}\n    ]'
+_TWO_POWER_ROW = '[\n      {},\n      "two_power",\n      2,\n      {}\n    ]'
+
+
+def _certificate_row(chk: ElementCheck) -> str:
+    nm = chk.certificate
+    if isinstance(nm, OddValuation):
+        return _ODD_ROW.format(chk.offset, nm.p, nm.k)
+    return _TWO_POWER_ROW.format(chk.offset, nm.k)
+
+
 def halving_result_to_json(res: HalvingResult) -> str:
-    cert_rows = []
-    for chk in res.certificates:
-        nm = chk.certificate
-        if isinstance(nm, OddValuation):
-            cert_rows.append([chk.offset, "odd", nm.p, nm.k])
-        else:
-            cert_rows.append([chk.offset, "two_power", 2, nm.k])
-    obj = {
-        "delta": str(res.delta),
-        "halved_modulus": [[p, e] for p, e in res.halved_modulus.factors],
-        "a0": _int_to_decimal(res.a0),
-        "bad_n": sorted(res.bad_n),
-        "chosen_n": res.chosen_n,
-        "interval": [_int_to_decimal(v) for v in res.interval],
-        "certificates": cert_rows,
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    # the layout of json.dumps(obj, indent=2) + "\n"; see construction_to_json
+    bad_n = _json_list(map(str, sorted(res.bad_n)))
+    interval = _json_list(f'"{_int_to_decimal(v)}"' for v in res.interval)
+    certificates = _json_list(map(_certificate_row, res.certificates))
+    return (
+        f'{{\n  "delta": "{res.delta!s}",\n'
+        f'  "halved_modulus": {_json_pairs(res.halved_modulus.factors)},\n'
+        f'  "a0": "{_int_to_decimal(res.a0)}",\n'
+        f'  "bad_n": {bad_n},\n'
+        f'  "chosen_n": {res.chosen_n},\n'
+        f'  "interval": {interval},\n'
+        f'  "certificates": {certificates}\n}}\n'
+    )

@@ -80,10 +80,14 @@ class OddValuation:
         return obj
 
     def holds_for(self, n: int) -> bool:
-        # v_p(n) == k: p^k divides n and p^(k+1) does not; two remainders
-        # instead of k + 1 divisions of a possibly huge n
+        # v_p(n) == k by one remainder on the raw integer: r = n mod p^(k+1)
+        # is nonzero iff p^(k+1) does not divide n, and p^k divides r iff
+        # it divides n
+        if n < 1:
+            return False
         pk = self.p**self.k
-        return n >= 1 and n % pk == 0 and n % (pk * self.p) != 0
+        r = n % (pk * self.p)
+        return r != 0 and r % pk == 0
 
 
 @dataclass(frozen=True)

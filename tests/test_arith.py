@@ -136,14 +136,19 @@ class TestIsPrime:
         assert is_prime(n) == naive_is_prime(n)
 
 
-def reference_valuation_2(n: int) -> int:
-    # the division loop valuation(n, 2) ran before it read the lowest set bit
+def reference_valuation(n: int, p: int) -> int:
+    # the division loop valuation ran before it read the lowest set bit
+    # (p = 2) and divided by repeated squares of p (odd p)
     n = abs(n)
     k = 0
-    while n % 2 == 0:
-        n //= 2
+    while n % p == 0:
+        n //= p
         k += 1
     return k
+
+
+def reference_valuation_2(n: int) -> int:
+    return reference_valuation(n, 2)
 
 
 class TestValuation:
@@ -175,6 +180,24 @@ class TestValuation:
         assert valuation(2**100000 - 1, 2) == 0
         with pytest.raises(ValueError):
             valuation(0, 2)
+
+    @given(
+        st.integers(min_value=-(2**4000), max_value=2**4000).filter(bool),
+        st.sampled_from([3, 7, 9, 10, 11, 15, 10007, 2**61 - 1]),
+        st.integers(0, 300),
+    )
+    def test_odd_matches_division_loop(self, u, p, k):
+        for n in (u, u * p**k, -(u * p**k)):
+            assert valuation(n, p) == reference_valuation(n, p)
+
+    def test_odd_at_powers(self):
+        # exponents at, below and above the powers of 2 the squaring climbs by
+        for p in (3, 7, 2**61 - 1):
+            for k in (0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 63, 64, 65, 1000):
+                pk = p**k
+                for n in (pk, -pk, pk * (p + 1), pk * (p - 1) * p**k + pk):
+                    assert valuation(n, p) == reference_valuation(n, p)
+                assert valuation(pk, p) == k
 
     @given(st.integers(min_value=1, max_value=10**9), st.sampled_from([2, 3, 7, 11]))
     def test_divides_exactly(self, n, p):

@@ -221,6 +221,18 @@ class TestCovering:
         assert report.first_uncovered == 1
         assert report == reference_covering(c)
 
+    @pytest.mark.parametrize("e", [40000, 40001])
+    def test_huge_odd_valuation_is_fast(self, e):
+        # shift + 1 = 3**(e - 2): the walk takes its valuation by repeated
+        # squares of 3, not by e - 2 divisions of a residue of e * 1.6 bits
+        c = Construction(y=5, modulus=FactoredInteger(((3, e),)), shift=3 ** (e - 2) - 1)
+        start = time.perf_counter()
+        report = verify_covering(c)
+        assert time.perf_counter() - start < 0.5
+        # an even valuation leaves offset 1 open, an odd one certifies it
+        assert report.first_uncovered == (1 if e % 2 == 0 else 2)
+        assert report == reference_covering(c)
+
     def test_two_power_with_holes(self):
         m = FactoredInteger(((2, 5), (3, 3), (7, 2), (11, 1)))
         for shift in range(1, 400, 7):

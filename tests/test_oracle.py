@@ -31,6 +31,12 @@ def naive_members(hi):
     return out
 
 
+def reference_holds_for(cert: OddValuation, n: int) -> bool:
+    # the two-remainder form OddValuation.holds_for ran before it took one
+    pk = cert.p**cert.k
+    return n >= 1 and n % pk == 0 and n % (pk * cert.p) != 0
+
+
 class TestCertificates:
     def test_odd_valuation_validation(self):
         OddValuation(3, 1)
@@ -48,6 +54,39 @@ class TestCertificates:
         assert cert.holds_for(21)
         assert not cert.holds_for(18)  # valuation 2
         assert not cert.holds_for(5)
+
+    @given(
+        st.sampled_from([3, 7, 11, 19, 43, 10007]),
+        st.integers(0, 20).map(lambda i: 2 * i + 1),
+        st.integers(min_value=1, max_value=2**4000),
+        st.integers(0, 3),
+    )
+    def test_odd_valuation_holds_matches_two_remainders(self, p, k, m, extra):
+        cert = OddValuation(p, k)
+        pk = p**k
+        for n in (
+            0,
+            -m,
+            -pk * m,
+            pk,
+            pk * p ** (extra + 1) * m,
+            pk * (m * p + 1),
+            pk * m,
+            m,
+            m * p**extra,
+        ):
+            assert cert.holds_for(n) == reference_holds_for(cert, n)
+        assert cert.holds_for(pk)
+        assert not cert.holds_for(pk * p)
+        assert not cert.holds_for(-pk)
+
+    @settings(max_examples=50)
+    @given(st.integers(3000, 6000), st.randoms(use_true_random=False))
+    def test_odd_valuation_holds_on_large_integers(self, bits, rnd):
+        for p, k in ((3, 1), (3, 5), (7, 3), (2**31 - 1, 1)):
+            cert = OddValuation(p, k)
+            for n in (rnd.getrandbits(bits), rnd.getrandbits(bits) * p**k):
+                assert cert.holds_for(n) == reference_holds_for(cert, n)
 
     def test_two_power_form(self):
         assert TwoPowerForm(2).holds_for(12)

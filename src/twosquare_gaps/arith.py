@@ -38,7 +38,7 @@ def _prime_array(limit: int) -> np.ndarray:
     if limit > _SIEVE_LIMIT_CAP:
         raise CapacityError(f"sieve limit {limit} exceeds {_SIEVE_LIMIT_CAP}")
     if limit < 3:
-        return np.arange(2, limit + 1, dtype=np.int64)
+        return np.arange(2, max(limit, 1) + 1, dtype=np.int64)
     # index i represents the odd number 2*i + 1; index 0 (the number 1) unused
     half = (limit + 1) // 2
     mask = np.ones(half, dtype=bool)
@@ -67,9 +67,7 @@ def _small_prime_blocks() -> list[tuple[list[int], int]]:
 
 def prime_count(x: int) -> int:
     """pi(x), the number of primes <= x."""
-    if x < 2:
-        return 0
-    return len(sieve_primes(x))
+    return len(_prime_array(x))
 
 
 def _miller_rabin_composite(n: int, a: int, d: int, r: int) -> bool:

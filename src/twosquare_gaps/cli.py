@@ -17,6 +17,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .construction import (
     InadmissibleModulusError,
@@ -72,8 +73,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         data = sys.stdin.buffer.read()
     else:
         try:
-            with open(args.construction, "rb") as fh:
-                data = fh.read()
+            data = Path(args.construction).read_bytes()
         except OSError as exc:
             print(f"cannot read construction: {exc}", file=sys.stderr)
             return 3
@@ -99,11 +99,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lines.append(f"offset {cert.offset}: two_power k={nm.k}")
     if report.ok:
         lines.append(f"covered: {c.y}/{c.y}")
-        _write_out("\n".join(lines) + "\n", args.out)
-        return 0
-    lines.append(f"uncovered at offset {report.first_uncovered}")
+    else:
+        lines.append(f"uncovered at offset {report.first_uncovered}")
     _write_out("\n".join(lines) + "\n", args.out)
-    return 1
+    return 0 if report.ok else 1
 
 
 def _cmd_halve(args: argparse.Namespace) -> int:

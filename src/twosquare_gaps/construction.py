@@ -17,7 +17,6 @@ size, past CPython's int<->str digit limit.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -36,7 +35,6 @@ from .oracle import (
 )
 
 ORACLE_VALUE_LIMIT = 10**18
-_LOG10_2 = math.log10(2)
 
 
 class InadmissibleModulusError(ValueError):
@@ -145,10 +143,11 @@ def _offset_residues(
 
 def _covering_walk(
     c: Construction, lo: int, hi: int
-) -> tuple[list[OddValuation | TwoPowerForm | None], dict[int, int]]:
+) -> tuple[list[OddValuation | TwoPowerForm | None], dict[int, int], int | None]:
     """Certificate of each offset lo..hi (at index j - lo), None where no
-    condition matches, and each odd prime's largest pinned odd valuation
-    on lo..hi (0 if none), from one residue walk per modulus prime.
+    condition matches, each odd prime's largest pinned odd valuation on
+    lo..hi (0 if none), from one residue walk per modulus prime, and the
+    least offset left uncovered (None if there is none).
 
     Odd primes are walked in ascending order and an offset keeps the first
     odd valuation the modulus pins (shift + j not 0 mod p^e).  Then 2^e
@@ -181,7 +180,9 @@ def _covering_walk(
         for i in range(first, len(table), step):
             if table[i] is None:
                 table[i] = cert
-    return table, pinned
+    # by identity: None in table would call each certificate's __eq__
+    hole = next((lo + i for i, cert in enumerate(table) if cert is None), None)
+    return table, pinned, hole
 
 
 def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | None:
@@ -198,19 +199,19 @@ def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | 
 
 def verify_covering(c: Construction) -> CoveringReport:
     """Check all offsets 1..y; the report ends at the least uncovered one."""
-    table, _ = _covering_walk(c, 1, c.y)
-    n = table.index(None) if None in table else c.y
+    table, _, hole = _covering_walk(c, 1, c.y)
+    n = c.y if hole is None else hole - 1
     certs = tuple(CoveringCertificate(j, table[j - 1]) for j in range(1, n + 1))
-    return CoveringReport(c.y, certs, n + 1 if n < c.y else None)
+    return CoveringReport(c.y, certs, hole)
 
 
 def _covered_walk(
     c: Construction,
 ) -> tuple[list[OddValuation | TwoPowerForm], dict[int, int]]:
     # the covering walk over 1..y, which must certify every offset
-    table, pinned = _covering_walk(c, 1, c.y)
-    if None in table:
-        raise ValueError(f"construction is not covered: offset {table.index(None) + 1}")
+    table, pinned, hole = _covering_walk(c, 1, c.y)
+    if hole is not None:
+        raise ValueError(f"construction is not covered: offset {hole}")
     return table, pinned
 
 
@@ -337,10 +338,11 @@ def construction_from_json(text: str) -> Construction:
     if not isinstance(a_text, str) or not (a_text.isascii() and a_text.isdigit()):
         raise ValueError("a must be a decimal string")
     modulus = FactoredInteger.from_pairs(raw)
-    # a in range has at most as many digits as value(P) < 2**bits; a longer
-    # string is rejected, in Construction's order, before it is converted
+    # a in range has no more digits than value(P) < 2**bits, so at most
+    # bits // 3 + 1 as log10(2) < 1/3; a longer string is rejected, in
+    # Construction's order, before it is converted
     digits = a_text.lstrip("0")
-    if len(digits) > modulus.value().bit_length() * _LOG10_2 + 1:
+    if len(digits) > modulus.value().bit_length() // 3 + 1:
         _check_admissible(modulus)
         raise ShiftRangeError(f"shift {digits} not in [1, value(P)]")
     return Construction(y=y, modulus=modulus, shift=_decimal_to_int(a_text))

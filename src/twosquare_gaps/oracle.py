@@ -106,7 +106,7 @@ class TwoPowerForm:
             raise ValueError("k must be >= 0")
 
     def holds_for(self, n: int) -> bool:
-        return n >= 1 and _two_power_form(n) == self
+        return n >= 1 and valuation(n, 2) == self.k and (n >> self.k) % 4 == 3
 
 
 def _two_power_form(n: int) -> TwoPowerForm | None:
@@ -230,15 +230,12 @@ def classify(
         return Unknown(residual)
     acc = (1, 0)
     for p, e in sorted(counts.items()):
-        if p == 2:
-            for _ in range(e):
-                acc = _compose(acc, (1, 1))
-        elif p % 4 == 1:
-            leg = _prime_legs(p)
-            for _ in range(e):
-                acc = _compose(acc, leg)
-        else:
+        if p % 4 == 3:
             acc = _compose(acc, (p ** (e // 2), 0))
+            continue
+        leg = (1, 1) if p == 2 else _prime_legs(p)
+        for _ in range(e):
+            acc = _compose(acc, leg)
     x, y = sorted((abs(acc[0]), abs(acc[1])))
     if x * x + y * y != n:
         raise AssertionError(f"two-squares witness does not sum to {n}")

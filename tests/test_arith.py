@@ -174,9 +174,13 @@ class TestValuation:
             assert valuation(n, 2) == reference_valuation_2(n)
 
     def test_two_at_powers_and_huge(self):
+        # the division loop is quadratic in the bit length, so at k = 100000
+        # it checks 1 << k alone
         for k in (0, 1, 2, 62, 63, 64, 65, 1000, 100000):
             for n in (1 << k, -(1 << k), 3 << k, -(5 << k), (1 << (k + 7)) - (1 << k)):
-                assert valuation(n, 2) == reference_valuation_2(n) == k
+                assert valuation(n, 2) == k
+                if k < 100000 or n == 1 << k:
+                    assert reference_valuation_2(n) == k
         assert valuation(2**100000 - 1, 2) == 0
         with pytest.raises(ValueError):
             valuation(0, 2)
@@ -467,3 +471,10 @@ def test_prime_count():
     assert prime_count(100) == 25
     assert prime_count(1) == 0
     assert prime_count(2) == 1
+
+
+def test_prime_count_counts_the_sieve():
+    for x in (-(2**70), -1, 0, 1, 2, 3, 4, 1000, 65536):
+        assert prime_count(x) == len(sieve_primes(x)) == sum(map(is_prime, range(x + 1)))
+    with pytest.raises(CapacityError):
+        prime_count(2**32 + 1)

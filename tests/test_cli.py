@@ -1,13 +1,21 @@
+import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import twosquare_gaps.arith as arith
 import twosquare_gaps.cli as cli
 import twosquare_gaps.construction as construction
 import twosquare_gaps.halving as halving
+import twosquare_gaps.oracle as oracle
+import twosquare_gaps.scanner as scanner
 from twosquare_gaps.construction import (
     construction_to_json,
     richards_construction,
@@ -141,6 +149,23 @@ class TestVerify:
         doc.write_text('{"y": 1, "factors": [[3, 2]], "a": "10"}')
         code, _, err = run(capsys, "verify", str(doc))
         assert code == 5
+
+    def test_long_shift_exits_5_as_before(self, capsys, tmp_path):
+        # shifts one digit longer than value(P): the integer digit guard lets
+        # them through to Construction's range check, which exits 5 with the
+        # message the guard gave when it bounded the digits by log10(2) * bits
+        doc = tmp_path / "long.json"
+        big = richards_modulus(2320)
+        assert big.value().bit_length() == 13310
+        for factors, digits in (([(3, 100)], 48), (big.factors, len(str(big.value())))):
+            a = "1" + "0" * digits
+            doc.write_text(json.dumps({"y": 5, "factors": factors, "a": a}))
+            code, out, err = run(capsys, "verify", str(doc))
+            assert (code, out, err) == (5, "", f"shift {a} not in [1, value(P)]\n")
+            # admissibility is checked first, whatever the shift's length
+            doc.write_text(json.dumps({"y": 5, "factors": [*factors, (5, 1)], "a": a}))
+            code, out, err = run(capsys, "verify", str(doc))
+            assert (code, out, err) == (2, "", "inadmissible prime 5: is 1 mod 4\n")
 
     def test_uncovered_exit_1(self, capsys, tmp_path):
         doc = tmp_path / "uncov.json"
@@ -333,3 +358,39 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
         "_exceptional_pairs": 1,
         "find_gap_interval": 1,
     }
+
+
+def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
+    # one ladder pass of the benchmark's construct workload (seed 0) through
+    # cli.main decides by integers and identity: no dataclass's __eq__ runs
+    path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    rungs, bounds_ys = next(inputs.ladder_passes(0, False))
+    classes = {
+        cls
+        for module in (arith, oracle, construction, halving, scanner, cli)
+        for cls in vars(module).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and "__eq__" in vars(cls)
+    }
+    assert {"OddValuation", "TwoPowerForm", "CoveringReport"} <= {c.__name__ for c in classes}
+    compared = []
+
+    def counted(self, other):
+        compared.append(type(self).__name__)
+        return NotImplemented
+
+    for cls in classes:
+        monkeypatch.setattr(cls, "__eq__", counted)
+    doc, report, halved = tmp_path / "c.json", tmp_path / "v.txt", tmp_path / "h.json"
+    for y in rungs:
+        if y < inputs.RICHARDS_BELOW_Y:
+            assert run(capsys, "richards", "--y", str(y), "--out", str(doc))[0] == 0
+            assert run(capsys, "verify", str(doc), "--out", str(report))[0] == 0
+        assert run(capsys, "halve", "--y", str(y), "--out", str(halved))[0] == 0
+    ylist = ",".join(map(str, bounds_ys))
+    assert run(capsys, "bounds", "--y-list", ylist, "--out", str(tmp_path / "b.csv"))[0] == 0
+    assert Counter(compared) == {}

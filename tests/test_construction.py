@@ -19,6 +19,7 @@ from twosquare_gaps.construction import (
     richards_shift,
     verify_covering,
 )
+from twosquare_gaps.halving import find_gap_interval
 from twosquare_gaps.oracle import NonMember, OddValuation, TwoPowerForm, classify
 
 from element_failures import FAILURES, MESSAGES, run_optimized
@@ -134,6 +135,37 @@ class TestVerifyCovering:
         assert report.ok
         kinds = [type(cert.certificate).__name__ for cert in report.certificates]
         assert "TwoPowerForm" in kinds
+
+
+class TestNoCertificateEquality:
+    """The construct path decides by identity and integers: it never
+    compares two certificates."""
+
+    @pytest.fixture
+    def no_eq(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError(f"compared {self!r} with {other!r}")
+
+        for cls in (OddValuation, TwoPowerForm):
+            monkeypatch.setattr(cls, "__eq__", refuse)
+
+    def test_richards_300(self, no_eq):
+        c = richards_construction(300)
+        assert verify_covering(c).ok
+        assert len(interval_check(c)) == 300
+        assert len(find_gap_interval(c).certificates) == 300
+
+    def test_two_power_and_holes(self, no_eq):
+        c = Construction(y=5, modulus=FactoredInteger(((2, 4), (3, 2))), shift=90)
+        certs = [chk.certificate for chk in interval_check(c)]
+        two, odd = TwoPowerForm, OddValuation
+        assert [(type(cert), cert.k) for cert in certs] == [
+            (two, 0), (two, 2), (odd, 1), (two, 1), (two, 0)
+        ]
+        holes = Construction(y=3, modulus=FactoredInteger(((3, 1),)), shift=1)
+        assert verify_covering(holes).first_uncovered == 1
+        with pytest.raises(ValueError, match="not covered: offset 1"):
+            interval_check(holes)
 
 
 class TestIntervalCheck:

@@ -175,7 +175,7 @@ def assert_same_covering(c: Construction) -> None:
 
 def assert_same_pinned(c: Construction) -> None:
     # the covering walk's largest pinned odd valuation of each odd prime
-    _, pinned = _covering_walk(c, 1, c.y)
+    _, pinned, _ = _covering_walk(c, 1, c.y)
     odd = [p for p, _ in c.modulus.factors if p != 2]
     assert pinned == {p: reference_max_odd_valuation(c, p) for p in odd}
 

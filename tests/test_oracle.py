@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -95,6 +97,16 @@ class TestCertificates:
         assert not TwoPowerForm(2).holds_for(20)  # 20 = 4*5, 5 = 1 mod 4
         with pytest.raises(ValueError):
             TwoPowerForm(-1)
+        # holds_for reads the integer; it used to build the certificate of
+        # n and compare the two, kept here as the reference
+        rng = random.Random(0)
+        for _ in range(3000):
+            k = rng.randrange(12)
+            j = rng.choice((k, rng.randrange(12)))
+            odd = 4 * rng.randrange(1 << rng.randrange(1, 200)) + rng.choice((1, 3))
+            for n in (odd << j, -(odd << j), 0, rng.randrange(-64, 64)):
+                expected = n >= 1 and oracle._two_power_form(n) == TwoPowerForm(k)
+                assert TwoPowerForm(k).holds_for(n) == expected, (k, n)
 
     def test_certificates_are_sound(self):
         members = naive_members(3000)

@@ -6,7 +6,7 @@ so every command pipes cleanly.  Exit codes are part of the interface:
     0  success (verify: fully covered)
     1  verify: some offset has no certificate / unexpected runtime failure
     2  inadmissible modulus prime (or argparse flag errors, its convention)
-    3  malformed construction document
+    3  malformed or out-of-range construction document
     4  halve: every interval index is bad
     5  shift outside [1, value(P)]
 """

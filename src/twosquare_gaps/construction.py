@@ -10,8 +10,9 @@ primes, and those with a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2,
 found by the two-power pass the membership sieve also uses.
 The walk also yields each odd prime's largest pinned odd valuation for
 the halving module.  Its certificates are bare; the public functions pair
-them with their offsets.  Shifts are written and read in decimal at any
-size, past CPython's int<->str digit limit.
+them with their offsets.  Its document section writes both documents,
+construction and halving, from one set of row templates and reads the
+construction document, shifts in decimal past CPython's int<->str limit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ from dataclasses import dataclass
 
 from .arith import (
     DEFAULT_EFFORT,
+    CapacityError,
     FactoredInteger,
+    _MR_LADDER,
     _decimal_to_int,
     _int_to_decimal,
     integer_log,
@@ -305,6 +308,17 @@ def _json_pairs(pairs: Iterable[tuple[int, int]]) -> str:
     return _json_list(_PAIR_ROW.format(p, e) for p, e in pairs)
 
 
+_ODD_ROW = '[\n      {},\n      "odd",\n      {},\n      {}\n    ]'
+_TWO_POWER_ROW = '[\n      {},\n      "two_power",\n      2,\n      {}\n    ]'
+
+
+def _certificate_row(chk: ElementCheck) -> str:
+    nm = chk.certificate
+    if isinstance(nm, OddValuation):
+        return _ODD_ROW.format(chk.offset, nm.p, nm.k)
+    return _TWO_POWER_ROW.format(chk.offset, nm.k)
+
+
 def construction_to_json(c: Construction) -> str:
     return (
         f'{{\n  "y": {c.y},\n'
@@ -313,13 +327,32 @@ def construction_to_json(c: Construction) -> str:
     )
 
 
+def halving_result_to_json(res) -> str:
+    bad_n = _json_list(map(str, sorted(res.bad_n)))
+    interval = _json_list(f'"{_int_to_decimal(v)}"' for v in res.interval)
+    certificates = _json_list(map(_certificate_row, res.certificates))
+    return (
+        f'{{\n  "delta": "{res.delta!s}",\n'
+        f'  "halved_modulus": {_json_pairs(res.halved_modulus.factors)},\n'
+        f'  "a0": "{_int_to_decimal(res.a0)}",\n'
+        f'  "bad_n": {bad_n},\n'
+        f'  "chosen_n": {res.chosen_n},\n'
+        f'  "interval": {interval},\n'
+        f'  "certificates": {certificates}\n}}\n'
+    )
+
+
 def construction_from_json(text: str) -> Construction:
     """Parse and fully validate a construction document.
 
-    Raises ValueError (malformed document), InadmissibleModulusError, or
-    ShiftRangeError; these map to distinct CLI exit codes.
+    Raises ValueError (malformed, or CapacityError for a factor too large
+    to prove prime), InadmissibleModulusError, or ShiftRangeError; these
+    map to distinct CLI exit codes.
     """
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("document nested too deeply") from None
     if not isinstance(obj, dict) or set(obj) != {"y", "factors", "a"}:
         raise ValueError("construction document needs exactly y, factors, a")
     # type() is int, not isinstance: json.loads reads true and false as
@@ -337,6 +370,10 @@ def construction_from_json(text: str) -> Construction:
     # str.isdigit alone accepts other scripts' digits and superscripts
     if not isinstance(a_text, str) or not (a_text.isascii() and a_text.isdigit()):
         raise ValueError("a must be a decimal string")
+    # is_prime proves primes below its witness ladder's last rung; above
+    # it, seeded rounds would decide, a fixed function of the document
+    if any(p >= _MR_LADDER[-1][0] for p, _ in raw):
+        raise CapacityError(f"a factor is not below {_MR_LADDER[-1][0]}")
     modulus = FactoredInteger.from_pairs(raw)
     # a in range has no more digits than value(P) < 2**bits, so at most
     # bits // 3 + 1 as log10(2) < 1/3; a longer string is rejected, in

@@ -25,6 +25,7 @@ entry point.  A construction the halving leaves unchanged (degenerate)
 needs no special case: a modulus prime at exponent 1 pins nothing and
 drops out, and a large prime keeps exponent 1, so an unchanged modulus
 has no prime above the cutoff, an empty bad set and interval index 0.
+The construction module writes the halving document beside its own.
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import (
-    DEFAULT_EFFORT,
-    FactoredInteger,
-    _int_to_decimal,
-    mod_inverse,
-    prime_count,
-)
+from .arith import DEFAULT_EFFORT, FactoredInteger, mod_inverse, prime_count
 from .construction import (
     ORACLE_VALUE_LIMIT,
     Construction,
@@ -47,9 +42,8 @@ from .construction import (
     _check_element,
     _covered_walk,
     _covering_walk,
-    _json_list,
-    _json_pairs,
     _offset_residues,
+    halving_result_to_json,
     richards_construction,
 )
 from .oracle import OddValuation
@@ -163,12 +157,8 @@ def _exceptional_pairs(
     return pairs
 
 
-def _bad_set(
-    y: int, halved: FactoredInteger, a0: int, threshold: int
-) -> frozenset[int]:
-    return frozenset(
-        n for _, _, n in _exceptional_pairs(y, halved, a0, threshold) if n is not None
-    )
+def _bad_set(pairs: list[tuple[int, int, int | None]]) -> frozenset[int]:
+    return frozenset(n for _, _, n in pairs if n is not None)
 
 
 def exceptional_pairs(c: Construction, delta) -> list[tuple[int, int, int | None]]:
@@ -183,7 +173,7 @@ def exceptional_pairs(c: Construction, delta) -> list[tuple[int, int, int | None
 
 
 def enumerate_bad_n(c: Construction, delta) -> frozenset[int]:
-    return frozenset(n for _, _, n in exceptional_pairs(c, delta) if n is not None)
+    return _bad_set(exceptional_pairs(c, delta))
 
 
 def find_gap_interval(
@@ -203,7 +193,7 @@ def find_gap_interval(
     """
     table, pinned = _covered_walk(c)
     delta, threshold, halved, a0 = _halved(c, pinned, delta)
-    bad = _bad_set(c.y, halved, a0, threshold)
+    bad = _bad_set(_exceptional_pairs(c.y, halved, a0, threshold))
     chosen = next((n for n in range(threshold + 1) if n not in bad), None)
     if chosen is None:
         raise NoGoodIntervalError(bad)
@@ -278,30 +268,3 @@ def small_prime_contribution(c: Construction, eps, check_bound: bool = True) -> 
         if num > cap + 1e-9:
             raise AssertionError("small part exceeds its analytic cap")
     return num / den if den else 0.0
-
-
-_ODD_ROW = '[\n      {},\n      "odd",\n      {},\n      {}\n    ]'
-_TWO_POWER_ROW = '[\n      {},\n      "two_power",\n      2,\n      {}\n    ]'
-
-
-def _certificate_row(chk: ElementCheck) -> str:
-    nm = chk.certificate
-    if isinstance(nm, OddValuation):
-        return _ODD_ROW.format(chk.offset, nm.p, nm.k)
-    return _TWO_POWER_ROW.format(chk.offset, nm.k)
-
-
-def halving_result_to_json(res: HalvingResult) -> str:
-    # the layout of json.dumps(obj, indent=2) + "\n"; see construction_to_json
-    bad_n = _json_list(map(str, sorted(res.bad_n)))
-    interval = _json_list(f'"{_int_to_decimal(v)}"' for v in res.interval)
-    certificates = _json_list(map(_certificate_row, res.certificates))
-    return (
-        f'{{\n  "delta": "{res.delta!s}",\n'
-        f'  "halved_modulus": {_json_pairs(res.halved_modulus.factors)},\n'
-        f'  "a0": "{_int_to_decimal(res.a0)}",\n'
-        f'  "bad_n": {bad_n},\n'
-        f'  "chosen_n": {res.chosen_n},\n'
-        f'  "interval": {interval},\n'
-        f'  "certificates": {certificates}\n}}\n'
-    )

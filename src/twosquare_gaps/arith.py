@@ -395,6 +395,8 @@ class FactoredInteger:
     def __post_init__(self) -> None:
         prev = 0
         for p, e in self.factors:
+            if p < 2:
+                raise ValueError(f"{p} is not prime")
             if p <= prev:
                 raise ValueError("factors must be sorted by prime, distinct")
             if e < 1:

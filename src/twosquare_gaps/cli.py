@@ -4,7 +4,7 @@ Data goes to --out or standard output; diagnostics go to standard error,
 so every command pipes cleanly.  Exit codes are part of the interface:
 
     0  success (verify: fully covered)
-    1  verify: some offset has no certificate / unexpected runtime failure
+    1  verify: an offset has no certificate / unwritable --out / runtime failure
     2  inadmissible modulus prime (or argparse flag errors, its convention)
     3  malformed or out-of-range construction document
     4  halve: every interval index is bad
@@ -44,28 +44,31 @@ from .scanner import (
 )
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str, out: str | None) -> int:
+    # the exit code: 1, with one line on stderr, when --out cannot be written
     if out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     records = scan_records(args.limit, segment_size=args.segment_size)
-    _write_out(records_to_csv(records), args.out)
-    return 0
+    return _write_out(records_to_csv(records), args.out)
 
 
 def _cmd_richards(args: argparse.Namespace) -> int:
     c = richards_construction(args.y)
     if args.format == "json":
-        _write_out(construction_to_json(c), args.out)
-    else:
-        lines = ["p,e"] + [f"{p},{e}" for p, e in c.modulus.factors]
-        _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+        return _write_out(construction_to_json(c), args.out)
+    lines = ["p,e"] + [f"{p},{e}" for p, e in c.modulus.factors]
+    return _write_out("\n".join(lines) + "\n", args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -101,8 +104,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         lines.append(f"covered: {c.y}/{c.y}")
     else:
         lines.append(f"uncovered at offset {report.first_uncovered}")
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0 if report.ok else 1
+    return _write_out("\n".join(lines) + "\n", args.out) or (0 if report.ok else 1)
 
 
 def _cmd_halve(args: argparse.Namespace) -> int:
@@ -125,8 +127,7 @@ def _cmd_halve(args: argparse.Namespace) -> int:
         f"e_plain={row[3]:.4f} e_halved={row[4]:.4f} ratio={row[5]:.4f}",
         file=sys.stderr,
     )
-    _write_out(halving_result_to_json(res), args.out)
-    return 0
+    return _write_out(halving_result_to_json(res), args.out)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
@@ -140,8 +141,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
         f"390/449 = {float(GAP_RATE_HALVED):.6f}",
         file=sys.stderr,
     )
-    _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return _write_out("\n".join(lines) + "\n", args.out)
 
 
 def _fraction(text: str) -> Fraction:

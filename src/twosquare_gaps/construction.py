@@ -9,10 +9,10 @@ offsets j = -a (mod p) of each odd prime p, sum y/p steps over all
 primes, and those with a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2,
 found by the two-power pass the membership sieve also uses.
 The walk also yields each odd prime's largest pinned odd valuation for
-the halving module.  Its certificates are bare; the public functions pair
-them with their offsets.  Its document section writes both documents,
-construction and halving, from one set of row templates and reads the
-construction document, shifts in decimal past CPython's int<->str limit.
+the halving module.  Its certificates are bare, one per (p, k); the
+public functions pair them with offsets.  Its document section writes
+the construction and halving documents from one set of row templates
+and reads the first, shifts in decimal past CPython's int<->str limit.
 """
 
 from __future__ import annotations
@@ -159,24 +159,24 @@ def _covering_walk(
     one progression per k while its stride is shorter than the window,
     then each multiple of 2^k left decided alone by its residue mod 2^e,
     so 2^e takes about log2 of the window's width in steps, whatever e.
-    Construction has validated the primes, so the certificates skip the
-    re-check.
+    Each prime builds one certificate per k it pins and shares it between
+    offsets; Construction has validated the primes, so none is re-checked.
     """
     table: list[OddValuation | TwoPowerForm | None] = [None] * (hi - lo + 1)
     pinned: dict[int, int] = {}
     for p, e in c.modulus.factors:
         if p == 2:
             continue
-        best, pp = 0, p * p
+        certs, pp = {}, p * p
         for j, r in _offset_residues(c.shift, lo, hi, p, p**e):
             if r:
                 k = valuation(r, p) if r % pp == 0 else 1
                 if k % 2 == 1:
-                    if k > best:
-                        best = k
+                    if k not in certs:
+                        certs[k] = OddValuation._trusted(p, k)
                     if table[j - lo] is None:
-                        table[j - lo] = OddValuation._trusted(p, k)
-        pinned[p] = best
+                        table[j - lo] = certs[k]
+        pinned[p] = max(certs, default=0)
     e2 = c.modulus.exponent(2)
     for first, step, k in _two_power_hits(c.shift + lo, len(table), 0, e2):
         cert = TwoPowerForm(k)

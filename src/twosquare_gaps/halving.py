@@ -201,11 +201,11 @@ def find_gap_interval(
     base = a0 + chosen * halved.value()
     checks = []
     for j, nm in enumerate(table, 1):
-        if isinstance(nm, OddValuation) and nm.p > threshold:
-            # large prime: the halved modulus pins only one factor of p, so
-            # the certificate becomes valuation exactly 1; the element check
-            # confirms p*p does not divide the element rather than trusting
-            # the bad-set bookkeeping; Construction has validated p
+        if isinstance(nm, OddValuation) and nm.p > threshold and nm.k > 1:
+            # large prime: the halved modulus pins one factor of p, so k >= 3
+            # becomes exactly 1 and the walk's shared k = 1 stays; the element
+            # check confirms p*p does not divide the element rather than
+            # trusting the bad-set bookkeeping; Construction has validated p
             nm = OddValuation._trusted(nm.p, 1)
         element = base + j
         run_oracle = deep_verify or element <= ORACLE_VALUE_LIMIT

@@ -465,6 +465,10 @@ class TestFactoredInteger:
             FactoredInteger(factors=((7, 1), (3, 1)))  # unsorted
         with pytest.raises(ValueError):
             FactoredInteger(factors=((3, 1), (3, 2)))  # duplicate
+        # below 2: not prime, though 0 or a negative also looks unsorted
+        for p in (0, 1, -3):
+            with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+                FactoredInteger(factors=((p, 2), (3, 1)))
 
 
 def test_prime_count():

@@ -3,6 +3,8 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -20,8 +22,13 @@ from twosquare_gaps.construction import (
     construction_to_json,
     richards_construction,
     richards_modulus,
+    verify_covering,
 )
 from twosquare_gaps.halving import NoGoodIntervalError, find_gap_interval
+from twosquare_gaps.oracle import OddValuation
+
+
+SRC = str(Path(__file__).parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -124,10 +131,14 @@ class TestVerify:
             '{"y": 1, "factors": [[3, true]], "a": "2"}',
             '{"y": 1, "factors": [[3, 2]], "a": "\u0662"}',
             '{"y": 1, "factors": [[3, 2]], "a": "\u00b2"}',
+            # a factor below 2 is no prime, wherever it sorts
+            '{"y": 3, "factors": [[0, 5]], "a": "3"}',
+            '{"y": 3, "factors": [[-3, 2]], "a": "3"}',
         ):
             doc.write_text(text)
             code, _, err = run(capsys, "verify", str(doc))
             assert code == 3 and "malformed" in err, text
+        assert err == "malformed construction: -3 is not prime\n"
 
     def test_not_utf8_exit_3(self, capsys, tmp_path, monkeypatch):
         # a byte 0xff is malformed from a file and from stdin alike
@@ -249,6 +260,36 @@ class TestBounds:
         assert len(out.strip().split("\n")) == 3
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["scan", "--limit", "100"], "missing/x"),
+        (["scan", "--limit", "100"], "."),
+        (["richards", "--y", "5"], "missing/x"),
+        (["verify", "DOC"], "missing/x"),
+        (["halve", "--y", "10"], "missing/x"),
+        (["bounds", "--y-list", "10"], "missing/x"),
+    ],
+    ids=["scan", "scan-directory", "richards", "verify", "halve", "bounds"],
+)
+def test_unwritable_out_exit_1(tmp_path, argv, target):
+    # a missing directory or a directory: one line on stderr, no traceback
+    doc = tmp_path / "c.json"
+    doc.write_text(construction_to_json(richards_construction(5)))
+    argv = [str(doc) if a == "DOC" else a for a in argv]
+    inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    proc = subprocess.run(
+        [sys.executable, "-m", "twosquare_gaps.cli", *argv, "--out", str(tmp_path / target)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([SRC] + [p for p in inherited if p])},
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines()[-1].startswith("cannot write output: [Errno")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc"])
 @pytest.mark.parametrize(
     "argv", [["halve", "--y", "10"], ["bounds", "--y-list", "10"]], ids=["halve", "bounds"]
@@ -362,7 +403,9 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
 
 def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
     # one ladder pass of the benchmark's construct workload (seed 0) through
-    # cli.main decides by integers and identity: no dataclass's __eq__ runs
+    # cli.main decides by integers and identity: no dataclass's __eq__ runs.
+    # The covering walk builds one OddValuation per (p, k) it pins, not one
+    # per covered offset (21452 in this pass), and tests no prime again
     path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
@@ -385,6 +428,27 @@ def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
 
     for cls in classes:
         monkeypatch.setattr(cls, "__eq__", counted)
+    built, primes = [], []
+    trusted, init, is_prime = OddValuation._trusted, OddValuation.__init__, arith.is_prime
+
+    def counted_trusted(cls, p, k):
+        built.append(p)
+        return trusted(p, k)
+
+    def counted_init(self, p, k):
+        built.append(p)
+        init(self, p, k)
+
+    def counted_is_prime(n, seed=0):
+        primes.append(n)
+        return is_prime(n, seed=seed)
+
+    monkeypatch.setattr(OddValuation, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(OddValuation, "__init__", counted_init)
+    monkeypatch.setattr(arith, "is_prime", counted_is_prime)
+    monkeypatch.setattr(oracle, "is_prime", counted_is_prime)
+    # a certificate prime tested by an earlier test would not be tested here
+    oracle._checked_cert_prime.cache_clear()
     doc, report, halved = tmp_path / "c.json", tmp_path / "v.txt", tmp_path / "h.json"
     for y in rungs:
         if y < inputs.RICHARDS_BELOW_Y:
@@ -394,3 +458,11 @@ def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
     ylist = ",".join(map(str, bounds_ys))
     assert run(capsys, "bounds", "--y-list", ylist, "--out", str(tmp_path / "b.csv"))[0] == 0
     assert Counter(compared) == {}
+    assert len(built) <= 6000
+    assert len(primes) == 1780
+    # equal certificates of one covering are one object
+    shared = {}
+    for cert in verify_covering(richards_construction(300)).certificates:
+        nm = cert.certificate
+        assert shared.setdefault((type(nm), *dataclasses.astuple(nm)), nm) is nm
+    assert len(shared) < 300

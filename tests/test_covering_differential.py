@@ -354,3 +354,17 @@ class TestElementChecks:
                 c, Fraction(1, 2), res.interval[0] - 1, CHECK_EFFORT, deep_verify
             )
             assert list(res.certificates) == want
+
+
+def test_large_prime_pinned_above_one_is_rebuilt():
+    # the walk certifies offset 1 by v_3(3267) = 3; at delta = 1/2 the prime
+    # 3 lies above the cutoff 2, so the halving must certify that element by
+    # valuation exactly 1 rather than carry the walk's (3, 3) over
+    m = FactoredInteger(((2, 2), (3, 4), (7, 2), (11, 2), (19, 2)))
+    c = Construction(y=5, modulus=m, shift=3266)
+    assert verify_covering(c).certificates[0] == CoveringCertificate(1, OddValuation(3, 3))
+    res = find_gap_interval(c, effort=CHECK_EFFORT)
+    assert res.interval == (75, 79)
+    want = reference_transferred_checks(c, Fraction(1, 2), 74, CHECK_EFFORT, False)
+    assert list(res.certificates) == want
+    assert want[0] == ElementCheck(1, 75, OddValuation(3, 1), "confirmed")

@@ -12,8 +12,8 @@ membership three independent ways:
 * membership_sieve()    parity sieve over a window: odd part 3 mod 4, or
                         some p = 3 (mod 4) up to sqrt(hi) at odd power;
                         2, 3 and 7 start from a periodic tile, and the
-                        primes that hit the window once share one
-                        vector pass
+                        primes that hit the window at most 64 times
+                        share one chunked vector pass
 * certify_non_membership()  certificate search against a caller-supplied
                         prime list, no factorization
 
@@ -24,6 +24,7 @@ against each other.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,6 +45,13 @@ _SIEVE_WIDTH_CAP = 1 << 26
 # bounds the sieve's prime table: primes up to 2**25, ~0.2 s and ~50 MB
 _SIEVE_VALUE_CAP = 1 << 50
 _SIEVE_PRIME_BOUND = math.isqrt(_SIEVE_VALUE_CAP)
+# membership_sieve's vector pass takes every prime with at most
+# _FEW_HITS hits in the window, in chunks of about _CHUNK_ENTRIES
+# (prime, hit) entries.  Timed from 1e9 to 2**50: 64 was as fast as any
+# H in 16..256 at every height (256 slower at 2**28), and chunks of 2**16
+# keep the traced peak near 5 bytes per window entry (2**18: 6.9)
+_FEW_HITS = 64
+_CHUNK_ENTRIES = 1 << 16
 
 
 @lru_cache(maxsize=4096)
@@ -313,19 +321,24 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
     Higher powers of two come from _two_power_hits, the two-power pass
     the tile and the covering walk share: one stride of 2**(k+2) per k
     while that stride is shorter than the window, then the few multiples
-    of 2**k left, each decided alone.  Each prime p = 3 (mod 4) below the
-    width keeps a parity mask over its multiples (over those of 9 and
-    49 for 3 and 7), flipped at every multiple of the next powers of p,
-    in one buffer reused by all primes.  A prime at least the width hits
-    the window once at most; those primes take their valuation parity
-    together, in one vector pass.
+    of 2**k left, each decided alone.  Each prime p = 3 (mod 4) below
+    max(8, width / 64), 3 and 7 among them, keeps a parity mask over its
+    multiples (over those of 9 and 49 for 3 and 7), flipped at every
+    multiple of the next powers of p, in one buffer reused by all primes.
+    A larger prime hits the window 64 times at most; those primes take
+    their valuation parity together, one entry per (prime, hit), in a
+    vector pass run in chunks of about 2**16 entries.
 
     Cost: about width * loglog(hi) element operations plus one Python
-    step per prime p = 3 (mod 4) below the width and one per power of 2
-    up to the width.  The prime table is cached across calls; the first
-    call near the value cap builds it in about 0.2 s and ~50 MB.  Width
-    above 2**26 or hi above 2**50 raises CapacityError.
+    step per prime p = 3 (mod 4) below max(8, width / 64), one per chunk
+    and one per power of 2 up to the width; memory is the window's bytes
+    plus a few words per prime up to isqrt(hi) and per chunk entry.  The
+    prime table is cached across calls; the first call near the value
+    cap builds it in about 0.2 s and ~50 MB.  Width above 2**26 or hi
+    above 2**50 raises CapacityError.  lo and hi are read through
+    operator.index, so numpy integers work and floats raise TypeError.
     """
+    lo, hi = operator.index(lo), operator.index(hi)
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi")
     width = hi - lo + 1
@@ -345,7 +358,7 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
     for first, step, _ in _two_power_hits(lo, width, 3, hi.bit_length() + 2):
         bad[first::step] = True
     primes = _primes_3_mod_4(math.isqrt(hi))
-    split = primes.searchsorted(width)
+    split = primes.searchsorted(max(8, -(-width // _FEW_HITS)))
     # the longest view is over the multiples of 9
     buffer = np.empty(width // 9 + 1, dtype=bool)
     for p in primes[:split].tolist():
@@ -366,22 +379,40 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
             np.logical_not(flip, out=flip)
             stride *= p
         view |= parity
-    # a prime p >= width hits the window once at most, at n = lo + s.
-    # For all such primes at once, m = n / p is divided by p while it
-    # can be, and each division flips the parity of v_p(n).
-    # count_nonzero is cheaper than any() on the few hits of a narrow
-    # window.
+    # a prime p >= width / _FEW_HITS hits the window _FEW_HITS times at
+    # most, at n = lo + s + t*p.  All such primes share one vector pass
+    # with one entry per (prime, hit), so each entry keeps its own parity
+    # and two primes' odd valuations cannot cancel.  The entries run in
+    # chunks of whole primes, about _CHUNK_ENTRIES each, so the pass
+    # holds a few arrays of that length however wide the window.
     primes = primes[split:]
     starts = -lo % primes
     hits = starts < width
-    if np.count_nonzero(hits):
-        primes, starts = primes[hits], starts[hits]
-        m = (lo + starts) // primes
-        divides = m % primes == 0
-        odd = ~divides
-        while np.count_nonzero(divides):
-            m //= np.where(divides, primes, 1)
-            divides = m % primes == 0
-            odd ^= divides
-        bad[starts[odd]] = True
+    primes, starts = primes[hits], starts[hits]
+    counts = (width - 1 - starts) // primes + 1
+    ends = counts.cumsum()
+    a = 0
+    while a < len(primes):
+        # primes a..b-1: every one whose entries end within
+        # _CHUNK_ENTRIES of the chunk's first entry
+        b = ends.searchsorted(ends[a] - counts[a] + _CHUNK_ENTRIES, side="right")
+        c = counts[a:b]
+        p = primes[a:b].repeat(c)
+        # entry t of a prime (t = 0, 1, ...) sits at s + t*p
+        pos = np.arange(ends[a] - c[0], ends[b - 1])
+        pos -= (ends[a:b] - c).repeat(c)
+        pos *= p
+        pos += starts[a:b].repeat(c)
+        # m = n / p**k: the entries that p does not divide have
+        # v_p(n) = k, and the others divide again
+        m = (pos + lo) // p
+        k = 1
+        while len(m):
+            r = m % p
+            if k % 2:
+                bad[pos[r != 0]] = True
+            deeper = r == 0
+            pos, m, p = pos[deeper], m[deeper] // p[deeper], p[deeper]
+            k += 1
+        a = b
     return np.logical_not(bad, out=bad)

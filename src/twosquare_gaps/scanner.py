@@ -24,6 +24,7 @@ A segment is merged one of two ways:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,8 +147,11 @@ def scan_records(
     accepted and ignored: every value runs the same sequential loop,
     because a thread pool over segments scanned slower than one thread.
     A limit above the sieve's value cap, 2**50, raises CapacityError
-    before any segment is sieved.
+    before any segment is sieved.  limit and segment_size are read
+    through operator.index, so numpy integers work and floats raise
+    TypeError.
     """
+    limit, segment_size = operator.index(limit), operator.index(segment_size)
     if limit < 2:
         raise ValueError("limit must be >= 2")
     if limit > _SIEVE_VALUE_CAP:

@@ -272,6 +272,23 @@ class TestMembershipSieve:
         with pytest.raises(CapacityError):
             membership_sieve((1 << 62) + 1, (1 << 62) + 2)
 
+    def test_numpy_integer_bounds(self):
+        lo = 10**10
+        want = membership_sieve(lo, lo + 999)
+        for kind in (np.int64, np.uint64):
+            got = membership_sieve(kind(lo), kind(lo + 999))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert membership_sieve(np.int32(1), np.int8(30)).tolist() == (
+            membership_sieve(1, 30).tolist()
+        )
+
+    def test_float_bounds_raise_type_error_first(self):
+        # before the range and capacity checks, which would raise
+        # ValueError or CapacityError for these values as integers
+        for lo, hi in ((1.0, 5), (1, 5.0), (0.0, 5), (1, 2.0**60), (np.float64(9), 9)):
+            with pytest.raises(TypeError):
+                membership_sieve(lo, hi)
+
 
 @settings(max_examples=60)
 @given(st.integers(min_value=1, max_value=10**6))

@@ -63,6 +63,16 @@ class TestScanRecords:
         for threads in (2, 5):
             assert scan_records(10**5, segment_size=4096, threads=threads) == base
 
+    def test_numpy_integer_bounds(self):
+        want = scan_records(5000, segment_size=1024)
+        assert scan_records(np.int64(5000), segment_size=np.int64(1024)) == want
+        assert scan_records(np.uint32(5000), np.int16(1024)) == want
+
+    def test_float_bounds_raise_type_error_first(self):
+        for args in ((5000.0,), (1.0,), (2.0**60,), (5000, 1024.0), (5000, 0.0)):
+            with pytest.raises(TypeError):
+                scan_records(*args)
+
     def test_ratio(self):
         r = GapRecord(20, 25, 5)
         assert r.ratio == pytest.approx(5 / math.log(25))

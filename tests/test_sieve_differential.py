@@ -14,14 +14,18 @@ Two test-only references:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twosquare_gaps.arith import CapacityError
+from twosquare_gaps.arith import CapacityError, is_prime
 from twosquare_gaps.oracle import (
+    _CHUNK_ENTRIES,
+    _FEW_HITS,
+    _SIEVE_PRIME_BOUND,
     _SIEVE_VALUE_CAP,
     _SIEVE_WIDTH_CAP,
     _primes_3_mod_4,
@@ -196,3 +200,73 @@ def test_default_segments_below_2_24():
     for lo in range(1, 1 << 24, DEFAULT_SEGMENT_SIZE):
         assert_as_reference(lo, min(lo + DEFAULT_SEGMENT_SIZE - 1, (1 << 24) - 1))
 
+
+# The vector pass takes the primes p >= max(8, ceil(width / _FEW_HITS)),
+# each at most _FEW_HITS times, in chunks of about _CHUNK_ENTRIES
+# (prime, hit) entries; the primes below stay in the per-prime loop.
+
+
+@pytest.mark.parametrize("p", [11, 19, 43, 131, 499, 1999])
+def test_widths_at_the_few_hit_boundary(p):
+    # width H*p moves the split to p, so p takes the vector pass with H
+    # hits where the window starts at a multiple of p; width H*p + 1
+    # moves it to p + 1, and p takes the loop with up to H + 1 hits.
+    # The windows start at, end at and straddle multiples of p and p**2,
+    # so some entry past a prime's first has v_p >= 2.  At p**3 * q, with
+    # q = 3 (mod 4) a prime above isqrt(hi), the odd part is 1 mod 4, so
+    # only p's entry, at v_p = 3, marks the non-member.
+    h = _FEW_HITS
+    q = p**3 + 2
+    while q % 4 != 3 or not is_prime(q):
+        q += 2
+    for n in (p * p, p * (2**36 // p), p * p * (2**40 // (p * p)), p**3 * q):
+        if n > _SIEVE_VALUE_CAP // 2:
+            continue
+        for width in (h * p - 1, h * p, h * p + 1):
+            for lo, hi in _around(n, width):
+                assert_as_reference(lo, hi)
+
+
+def test_width_1_windows():
+    top = int(_primes_3_mod_4(_SIEVE_PRIME_BOUND)[-1])
+    for n in (1, 2, 3, 4, 9, 21, 27, 63, 147, 3**31, 7**17, 3 * 7**17, 11**14,
+              top, top * top, top * top - 1, 3 * top, 2**49 + 1,
+              _SIEVE_VALUE_CAP - 1, _SIEVE_VALUE_CAP):
+        assert_as_reference(n, n)
+
+
+@pytest.mark.parametrize("width", [1, 1000, 1 << 16, 1 << 20])
+def test_windows_ending_at_value_cap(width):
+    assert_as_reference(_SIEVE_VALUE_CAP - width + 1, _SIEVE_VALUE_CAP)
+
+
+def test_window_spanning_several_chunks():
+    lo, width = 2**40, 1 << 20
+    primes = _primes_3_mod_4(math.isqrt(lo + width - 1))
+    primes = primes[primes.searchsorted(max(8, -(-width // _FEW_HITS))) :]
+    starts = -lo % primes
+    entries = int(np.maximum(0, (width - 1 - starts) // primes + 1).sum())
+    assert entries > 2 * _CHUNK_ENTRIES
+    assert_as_reference(lo, lo + width - 1)
+
+
+@pytest.mark.parametrize("k", [36, 38, 40, 42, 44])
+def test_wide_windows_high_up(k):
+    lo = 2**k - (1 << 19) + 1
+    assert_as_reference(lo, lo + (1 << 20) - 1)
+
+
+def test_traced_peak_per_window_entry():
+    # a pass over every (prime, hit) entry at once holds several int64
+    # arrays per entry: ~14 bytes per window entry here, against ~5 for
+    # the chunked pass
+    _primes_3_mod_4(_SIEVE_PRIME_BOUND)
+    width = 1 << 22
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        membership_sieve(_SIEVE_VALUE_CAP - width + 1, _SIEVE_VALUE_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * width

@@ -145,7 +145,7 @@ def _offset_residues(
 
 
 def _covering_walk(
-    c: Construction, lo: int, hi: int
+    modulus: FactoredInteger, shift: int, lo: int, hi: int
 ) -> tuple[list[OddValuation | TwoPowerForm | None], dict[int, int], int | None]:
     """Certificate of each offset lo..hi (at index j - lo), None where no
     condition matches, each odd prime's largest pinned odd valuation on
@@ -160,15 +160,16 @@ def _covering_walk(
     then each multiple of 2^k left decided alone by its residue mod 2^e,
     so 2^e takes about log2 of the window's width in steps, whatever e.
     Each prime builds one certificate per k it pins and shares it between
-    offsets; Construction has validated the primes, so none is re-checked.
+    offsets.  Callers pass a validated modulus or one prime power of one,
+    so no prime is re-checked.
     """
     table: list[OddValuation | TwoPowerForm | None] = [None] * (hi - lo + 1)
     pinned: dict[int, int] = {}
-    for p, e in c.modulus.factors:
+    for p, e in modulus.factors:
         if p == 2:
             continue
         certs, pp = {}, p * p
-        for j, r in _offset_residues(c.shift, lo, hi, p, p**e):
+        for j, r in _offset_residues(shift, lo, hi, p, p**e):
             if r:
                 k = valuation(r, p) if r % pp == 0 else 1
                 if k % 2 == 1:
@@ -177,8 +178,8 @@ def _covering_walk(
                     if table[j - lo] is None:
                         table[j - lo] = certs[k]
         pinned[p] = max(certs, default=0)
-    e2 = c.modulus.exponent(2)
-    for first, step, k in _two_power_hits(c.shift + lo, len(table), 0, e2):
+    e2 = modulus.exponent(2)
+    for first, step, k in _two_power_hits(shift + lo, len(table), 0, e2):
         cert = TwoPowerForm(k)
         for i in range(first, len(table), step):
             if table[i] is None:
@@ -196,13 +197,13 @@ def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | 
     """
     if not 1 <= offset <= c.y:
         raise ValueError("offset must be in [1, y]")
-    cert = _covering_walk(c, offset, offset)[0][0]
+    cert = _covering_walk(c.modulus, c.shift, offset, offset)[0][0]
     return None if cert is None else CoveringCertificate(offset, cert)
 
 
 def verify_covering(c: Construction) -> CoveringReport:
     """Check all offsets 1..y; the report ends at the least uncovered one."""
-    table, _, hole = _covering_walk(c, 1, c.y)
+    table, _, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
     n = c.y if hole is None else hole - 1
     certs = tuple(CoveringCertificate(j, table[j - 1]) for j in range(1, n + 1))
     return CoveringReport(c.y, certs, hole)
@@ -212,7 +213,7 @@ def _covered_walk(
     c: Construction,
 ) -> tuple[list[OddValuation | TwoPowerForm], dict[int, int]]:
     # the covering walk over 1..y, which must certify every offset
-    table, pinned, hole = _covering_walk(c, 1, c.y)
+    table, pinned, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
     if hole is not None:
         raise ValueError(f"construction is not covered: offset {hole}")
     return table, pinned
@@ -377,9 +378,10 @@ def construction_from_json(text: str) -> Construction:
     modulus = FactoredInteger.from_pairs(raw)
     # a in range has no more digits than value(P) < 2**bits, so at most
     # bits // 3 + 1 as log10(2) < 1/3; a longer string is rejected, in
-    # Construction's order, before it is converted
+    # Construction's order, before it is converted.  Only the significant
+    # digits are converted; an all-zero a reads 0, out of range
     digits = a_text.lstrip("0")
     if len(digits) > modulus.value().bit_length() // 3 + 1:
         _check_admissible(modulus)
         raise ShiftRangeError(f"shift {digits} not in [1, value(P)]")
-    return Construction(y=y, modulus=modulus, shift=_decimal_to_int(a_text))
+    return Construction(y=y, modulus=modulus, shift=_decimal_to_int(digits or "0"))

@@ -88,10 +88,9 @@ def has_odd_cover(c: Construction, p: int) -> bool:
     e = c.modulus.exponent(p)
     if p == 2 or not e:
         raise ValueError("p must be an odd prime of the modulus")
-    # the covering walk of p alone: shift mod p^e gives the same residues
-    pe = p**e
-    alone = Construction(c.y, FactoredInteger._trusted(((p, e),)), c.shift % pe or pe)
-    return _covering_walk(alone, 1, c.y)[1][p] > 0
+    # the covering walk of p^e alone; c has validated p and the shift
+    alone = FactoredInteger._trusted(((p, e),))
+    return _covering_walk(alone, c.shift, 1, c.y)[1][p] > 0
 
 
 def halved_modulus(c: Construction, delta) -> FactoredInteger:
@@ -102,7 +101,7 @@ def halved_modulus(c: Construction, delta) -> FactoredInteger:
     prime gets 1; a prime with no pinned odd valuation drops out; 2 keeps
     its exponent.
     """
-    return _halved(c, _covering_walk(c, 1, c.y)[1], delta)[2]
+    return _halved(c, _covering_walk(c.modulus, c.shift, 1, c.y)[1], delta)[2]
 
 
 def _halved(
@@ -168,7 +167,8 @@ def exceptional_pairs(c: Construction, delta) -> list[tuple[int, int, int | None
     n = -((a0+j)/p) * (value/p)^-1 mod p, recorded when it lands in
     [0, floor(delta*y)] and None otherwise.
     """
-    _, threshold, halved, a0 = _halved(c, _covering_walk(c, 1, c.y)[1], delta)
+    pinned = _covering_walk(c.modulus, c.shift, 1, c.y)[1]
+    _, threshold, halved, a0 = _halved(c, pinned, delta)
     return _exceptional_pairs(c.y, halved, a0, threshold)
 
 

@@ -79,9 +79,9 @@ class OddValuation:
 
     @classmethod
     def _trusted(cls, p: int, k: int) -> OddValuation:
-        # for p = 3 (mod 4) and odd k >= 1 that the library's own
-        # factorization found, or a prime of a validated construction
-        # modulus, where p is already known prime: skips the re-check
+        # for p = 3 (mod 4) already known prime and odd k >= 1: found by the
+        # library's own factorization, a prime of a validated construction
+        # modulus, or a prime certify_non_membership has just checked
         obj = object.__new__(cls)
         object.__setattr__(obj, "p", p)
         object.__setattr__(obj, "k", k)
@@ -265,7 +265,7 @@ def certify_non_membership(
         _checked_cert_prime(p)
         k = valuation(n, p)
         if k % 2 == 1:
-            return OddValuation(p, k)
+            return OddValuation._trusted(p, k)
     return _two_power_form(n)
 
 

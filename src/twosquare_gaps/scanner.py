@@ -77,14 +77,11 @@ def _zero_words(best: int) -> int:
 
 
 def _dense_merge(
-    seg: np.ndarray, lo: int, prev: int | None, best: int, records: list[GapRecord]
-) -> tuple[int | None, int]:
+    seg: np.ndarray, lo: int, prev: int, best: int, records: list[GapRecord]
+) -> tuple[int, int]:
     # every gap in the segment, from its member positions
     chunk = np.flatnonzero(seg)
     chunk += lo
-    if prev is None and len(chunk):
-        prev = int(chunk[0])
-        chunk = chunk[1:]
     if len(chunk) == 0:
         return prev, best
     # gaps within the chunk plus the carried gap across the boundary
@@ -159,12 +156,12 @@ def scan_records(
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
     records: list[GapRecord] = []
-    prev = None
-    best = 0
+    # 1 is the first member; the first segment merges it again, a gap of 0
+    prev, best = 1, 0
     for lo in range(1, limit + 1, segment_size):
         seg = membership_sieve(lo, min(lo + segment_size - 1, limit))
         runs = _zero_words(best)
-        # runs < 1 while best < 15, and so while best == 0 and prev is None
+        # runs < 1 while best < 15, and so in the first segment
         if runs < 1:
             prev, best = _dense_merge(seg, lo, prev, best, records)
         else:

@@ -275,6 +275,26 @@ class TestConstructionJson:
         text = '{"y": 1, "factors": [[3, 2]], "a": "%s9"}' % ("0" * 10_000)
         assert construction_from_json(text).shift == 9
 
+    def test_leading_zeros_are_not_converted(self, monkeypatch):
+        import twosquare_gaps.construction as construction_mod
+
+        lengths = []
+        real = construction_mod._decimal_to_int
+
+        def recording(text):
+            lengths.append(len(text))
+            return real(text)
+
+        monkeypatch.setattr(construction_mod, "_decimal_to_int", recording)
+        doc = '{"y": 1, "factors": [[3, 2]], "a": "%s"}'
+        # a 4 MB document whose shift has one significant digit
+        assert construction_from_json(doc % ("0" * (1 << 22) + "2")).shift == 2
+        assert lengths and max(lengths) <= 1
+        # an all-zero shift still reads 0, out of range
+        with pytest.raises(ShiftRangeError) as exc:
+            construction_from_json(doc % "000")
+        assert str(exc.value) == "shift 0 not in [1, value(P)]"
+
 
 def test_modulus_growth_window():
     for y in range(50, 501, 50):

@@ -175,7 +175,7 @@ def assert_same_covering(c: Construction) -> None:
 
 def assert_same_pinned(c: Construction) -> None:
     # the covering walk's largest pinned odd valuation of each odd prime
-    _, pinned, _ = _covering_walk(c, 1, c.y)
+    _, pinned, _ = _covering_walk(c.modulus, c.shift, 1, c.y)
     odd = [p for p, _ in c.modulus.factors if p != 2]
     assert pinned == {p: reference_max_odd_valuation(c, p) for p in odd}
 
@@ -315,6 +315,22 @@ class TestHalving:
         for c in richards_sweep[:100]:
             for p, _ in c.modulus.factors:
                 assert has_odd_cover(c, p) == (reference_max_odd_valuation(c, p) > 0)
+
+    def test_has_odd_cover_builds_no_construction(self, monkeypatch):
+        # the walk of one prime power reads c's modulus and shift as they are
+        c = richards_construction(300)
+        built = []
+        post_init = Construction.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(Construction, "__post_init__", counted)
+        odd = [p for p, _ in c.modulus.factors if p != 2]
+        assert len(odd) == 100
+        assert all(has_odd_cover(c, p) for p in odd)
+        assert built == []
 
     def test_two_power_factor(self):
         c = Construction(y=5, modulus=FactoredInteger(((2, 4), (3, 2))), shift=90)

@@ -214,6 +214,20 @@ class TestCertifyNonMembership:
     def test_first_listed_prime_wins(self):
         assert certify_non_membership(21, [7, 3]) == OddValuation(7, 1)
 
+    def test_each_prime_checked_once(self, monkeypatch):
+        # the certificate is built from the prime just checked, unchecked
+        expected = OddValuation(7, 1)
+        checked = []
+        real = oracle._checked_cert_prime
+
+        def recording(p):
+            checked.append(p)
+            return real(p)
+
+        monkeypatch.setattr(oracle, "_checked_cert_prime", recording)
+        assert certify_non_membership(945, [19, 7, 3]) == expected  # 3^3 * 5 * 7
+        assert checked == [19, 7]
+
     def test_rejects_bad_primes(self):
         with pytest.raises(ValueError):
             certify_non_membership(10, [5])

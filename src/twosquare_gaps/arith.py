@@ -2,12 +2,15 @@
 
 Everything here is exact integer arithmetic.  No floating point is used
 anywhere a wrong rounding could change a result; floats only appear in
-logarithms reported for diagnostics.
+logarithms reported for diagnostics.  Factorization screens the primes
+below 2**16 first: one int64 remainder pass over all of them for n below
+2**63, gcds with the products of runs of 128 of them above.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -18,6 +21,7 @@ DEFAULT_EFFORT = 2_000_000
 
 _SIEVE_LIMIT_CAP = 1 << 32
 _SMALL_PRIME_LIMIT = 1 << 16
+_INT64_BOUND = 1 << 63
 
 
 class CapacityError(ValueError):
@@ -54,12 +58,18 @@ def _prime_array(limit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _small_prime_table() -> np.ndarray:
+    # the primes below 2**16 as int64, screened by remainder for n < 2**63
+    return _prime_array(_SMALL_PRIME_LIMIT)
+
+
+@lru_cache(maxsize=None)
 def _small_prime_blocks() -> list[tuple[list[int], int]]:
     # the primes below 2**16 in 52 runs of 128 (the last has 14), each with
-    # its product.  Products of ~2000 bits stay in Python's small-object
-    # arenas; one product of all the primes would keep a ~94000-bit integer
-    # in the C heap, where numpy's freed arrays left room, and fragment it
-    # (a scan run's peak RSS +4 MB).
+    # its product, for the gcd screen of n >= 2**63.  Products of ~2000
+    # bits stay in Python's small-object arenas; one product of all the
+    # primes would keep a ~94000-bit integer in the C heap, where numpy's
+    # freed arrays left room, and fragment it (a scan run's peak RSS +4 MB).
     primes = sieve_primes(_SMALL_PRIME_LIMIT)
     runs = [primes[i : i + 128] for i in range(0, len(primes), 128)]
     return [(run, math.prod(run)) for run in runs]
@@ -107,7 +117,10 @@ def is_prime(n: int, seed: int = 0) -> bool:
 
     Deterministic for n below ~3.3e24 via fixed Miller-Rabin witness sets;
     beyond that, 64 seeded random rounds (reproducible for a given seed).
+    n is read through operator.index, so numpy integers work and floats
+    raise TypeError.
     """
+    n = operator.index(n)
     if n < 2:
         return False
     if n < 4:
@@ -300,13 +313,17 @@ class Factorization:
 def factorize(n: int, effort: int = DEFAULT_EFFORT, seed: int = 0) -> Factorization:
     """Factor n >= 1.
 
-    The primes below 2**16 come out of gcds of n with the products of
-    runs of 128 of them, each hit run's primes tried against its gcd,
-    instead of trial division of n.  Then perfect-power extraction and
-    Brent rho work on what is left.  If the rho budget (effort,
-    counted in modular squarings) runs out, the remaining composite is
-    reported as .residual instead of looping forever.
+    The primes below 2**16 come out of one int64 remainder pass over
+    all of them for n < 2**63, and above that out of gcds of n with the
+    products of runs of 128 of them, each hit run's primes tried against
+    its gcd, instead of trial division of n.  Then perfect-power
+    extraction and Brent rho work on what is left.  If the rho budget
+    (effort, counted in modular squarings) runs out, the remaining
+    composite is reported as .residual instead of looping forever.  n is
+    read through operator.index, so numpy integers work and floats raise
+    TypeError.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("factorize expects n >= 1")
     counts, m = _small_factors(n)
@@ -318,19 +335,27 @@ def _small_factors(n: int) -> tuple[dict[int, int], int]:
     """(counts, m): the exponents of the primes below 2**16 in n, in
     ascending order, and the cofactor m they leave.
 
-    gcd(n, product of a run) is the product of the run's primes that
-    divide n; a run where it is 1 is skipped.  Otherwise the run's primes
-    are tried against that gcd in ascending order until it is used up.
-    n is divided once by the product of the run gcds, which is every
-    such prime to the first power, and only the extra powers are divided
-    out one by one.  m has no prime factor below 2**16, so m < 2**32 is 1
-    or a prime, which is moved into counts.
+    For n < 2**63 one int64 remainder pass over all 6542 of them finds
+    the primes that divide n, which then form one run with their product
+    as its gcd.  Above that, gcd(n, product of a run) is the product of
+    the run's primes that divide n; a run where it is 1 is skipped.
+    The primes of each run left are tried against its gcd in ascending
+    order until it is used up.  n is divided once by the product of the
+    gcds, which is every such prime to the first power, and only the
+    extra powers are divided out one by one.  m has no prime factor
+    below 2**16, so m < 2**32 is 1 or a prime, which is moved into
+    counts.
     """
-    hits = []
-    for run, product in _small_prime_blocks():
-        g = math.gcd(n, product)
-        if g > 1:
-            hits.append((run, g))
+    if n < _INT64_BOUND:
+        table = _small_prime_table()
+        found = table[np.int64(n) % table == 0].tolist()
+        hits = [(found, math.prod(found))]
+    else:
+        hits = []
+        for run, product in _small_prime_blocks():
+            g = math.gcd(n, product)
+            if g > 1:
+                hits.append((run, g))
     m = n // math.prod(g for _, g in hits)
     counts: dict[int, int] = {}
     for run, g in hits:

@@ -6,7 +6,8 @@ membership three independent ways:
 
 * classify()            factorization route, produces a witness or a
                         non-membership certificate.  The primes below
-                        2**16 come out of a gcd screen first; when one
+                        2**16 are screened first (by one int64 remainder
+                        pass below 2**63, by run gcds above); when one
                         p = 3 (mod 4) among them sits at odd valuation,
                         classify answers without running rho.
 * membership_sieve()    parity sieve over a window: odd part 3 mod 4, or
@@ -218,8 +219,10 @@ def classify(
 
     Returns Member with an explicit witness, NonMember with a checkable
     certificate, or Unknown when the factorization effort budget runs out
-    before the answer is pinned down.
+    before the answer is pinned down.  n is read through operator.index,
+    so numpy integers work and floats raise TypeError.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("classify expects n >= 1")
     two_power = _two_power_form(n)

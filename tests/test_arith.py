@@ -4,6 +4,7 @@ import random
 import signal
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -134,6 +135,19 @@ class TestIsPrime:
     @given(st.integers(min_value=0, max_value=10**6))
     def test_matches_naive(self, n):
         assert is_prime(n) == naive_is_prime(n)
+
+    def test_numpy_integers(self):
+        for n in (0, 1, 2, 3, 97, 561, 2**61 - 1, 2**62 + 1):
+            for kind in (np.int64, np.uint64):
+                assert is_prime(kind(n)) == is_prime(n)
+        assert is_prime(np.uint64(18446744073709551557))  # largest below 2**64
+        assert is_prime(np.int16(97)) and not is_prime(np.int8(91))
+
+    def test_float_raises_type_error(self):
+        # 1.0 and 3.0 would otherwise be answered by the n < 4 shortcuts
+        for n in (1.0, 3.0, 97.0, np.float64(97)):
+            with pytest.raises(TypeError):
+                is_prime(n)
 
 
 def reference_valuation(n: int, p: int) -> int:
@@ -282,6 +296,21 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             factorize(0)
+
+    def test_numpy_integers(self):
+        for n in (1, 1001, 2**40 * 3**5, 1000003 * 1000033, (1 << 63) + 9):
+            want = factorize(n)
+            kinds = (np.int64, np.uint64) if n < 1 << 63 else (np.uint64,)
+            for kind in kinds:
+                got = factorize(kind(n))
+                assert got == want and type(got.n) is int
+                assert all(type(p) is int for p, _ in got.factors)
+
+    def test_float_raises_type_error_first(self):
+        # before the range check, which would raise ValueError for 0
+        for n in (0.0, 1.0, 1001.0, np.float64(1001)):
+            with pytest.raises(TypeError):
+                factorize(n)
 
     def test_factor_list_off_by_one_prime_power_is_rejected(self):
         primes = sieve_primes(1 << 12)

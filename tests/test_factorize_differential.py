@@ -1,5 +1,6 @@
-"""Differential test: the gcd-screened factorize and classify against the
-trial-division versions they replaced.
+"""Differential tests: the screened factorize and classify against the
+trial-division versions they replaced, and the small-prime screen against
+the run-gcd screen it replaced below 2**63.
 
 reference_factorize and reference_classify are test-only reference code:
 trial division by every prime below 2**16, then the perfect-power and
@@ -7,6 +8,11 @@ Brent rho stage, with the rho batch product taken over |x - y|, and a
 classify that factors n completely before it looks for a certificate.
 The library must return the same Factorization, and the same verdict with
 the same witness, certificate or Unknown residual, at every effort.
+
+reference_small_factors is test-only reference code too: the run-gcd
+screen that served every n before one int64 remainder pass took n below
+2**63.  _small_factors must return the same (counts, m), with counts in
+the same ascending key order.
 """
 
 import math
@@ -21,6 +27,7 @@ from twosquare_gaps.arith import (
     DEFAULT_EFFORT,
     Factorization,
     _iroot,
+    _small_factors,
     factorize,
     is_prime,
     sieve_primes,
@@ -38,8 +45,10 @@ from twosquare_gaps.oracle import (
 SMALL_LIMIT = 1 << 16
 TABLE = sieve_primes(SMALL_LIMIT - 1)
 ROOT = math.prod(TABLE)
-# the library screens TABLE in runs of 128 primes
+# the library screens n >= 2**63 with the gcds of TABLE's runs of 128 primes
 RUNS = [TABLE[i : i + 128] for i in range(0, len(TABLE), 128)]
+RUN_PRODUCTS = [math.prod(run) for run in RUNS]
+INT64 = 1 << 63
 
 
 def reference_brent_rho(n, effort, seed):
@@ -303,3 +312,119 @@ class TestEarlyExit:
         for _, n in early_inputs(2):
             with pytest.raises(RhoCalled):
                 classify(n)
+
+
+def reference_small_factors(n):
+    hits = []
+    for run, product in zip(RUNS, RUN_PRODUCTS):
+        g = math.gcd(n, product)
+        if g > 1:
+            hits.append((run, g))
+    m = n // math.prod(g for _, g in hits)
+    counts = {}
+    for run, g in hits:
+        for p in run:
+            if g % p == 0:
+                g //= p
+                e = 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                counts[p] = e
+                if g == 1:
+                    break
+    if 1 < m < SMALL_LIMIT * SMALL_LIMIT:
+        counts[m] = 1
+        m = 1
+    return counts, m
+
+
+def assert_same_screen(n):
+    counts, m = _small_factors(n)
+    want_counts, want_m = reference_small_factors(n)
+    assert (counts, m) == (want_counts, want_m)
+    assert list(counts) == list(want_counts)
+
+
+def structured_screen_inputs():
+    out = [1, 65537, 65537**2, 3 * 65537, 3 * 65537**2]
+    # either side of 2**63, alone and times small primes
+    for base in (INT64 - 1, INT64, INT64 + 1):
+        for k in (1, 2, 3, 7, 65521, 2 * 3 * 5 * 7, 65519 * 65521):
+            out.append(base * k)
+    # the last primes below 2**16 and the first above, as products
+    top = (65519, 65521, 65537)
+    for a in top:
+        for b in top:
+            out += [a * b, a * b * 2**40, a**2 * b**2]
+    out.append(math.prod(top) ** 2)
+    # p**k on both sides of 2**63
+    for p in (3, 65521):
+        k = INT64.bit_length() // p.bit_length()
+        while p**k < INT64:
+            k += 1
+        out += [p ** (k - 2), p ** (k - 1), p**k, p ** (k + 1)]
+        out += [p ** (k - 1) * 65537, p ** (k - 1) * 2]
+    return out
+
+
+class TestScreenAgainstRunGcds:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=(1 << 70) - 1))
+    def test_uniform(self, n):
+        assert_same_screen(n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_prime_heavy(bound=1 << 70))
+    def test_small_prime_heavy(self, n):
+        assert_same_screen(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=INT64 - 2**20, max_value=INT64 + 2**20))
+    def test_near_int64_edge(self, n):
+        assert_same_screen(n)
+
+    @pytest.mark.parametrize("n", structured_screen_inputs())
+    def test_structured(self, n):
+        assert_same_screen(n)
+
+    def test_cofactors(self):
+        # 65537 is moved into counts as a prime; 65537**2 is above 2**32
+        # and stays the cofactor
+        assert _small_factors(3 * 65537) == ({3: 1, 65537: 1}, 1)
+        assert _small_factors(3 * 65537**2) == ({3: 1}, 65537**2)
+        assert _small_factors(1) == ({}, 1)
+
+
+class _CountingMath:
+    # stands in for the math module inside arith, counting the gcds taken
+    # against a run product
+    def __init__(self):
+        self.run_gcds = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def gcd(self, *args):
+        self.run_gcds += any(a in RUN_PRODUCTS for a in args)
+        return math.gcd(*args)
+
+
+class TestRunGcdGate:
+    # a semiprime of the benchmark's `budget` shape: two primes = 1 (mod 4)
+    # between 4e7 and 1e8, classified at effort 63
+    BUDGET = 63072721 * 66660701
+
+    def test_budget_shape_makes_no_run_gcd(self, monkeypatch):
+        assert self.BUDGET.bit_length() == 52
+        counting = _CountingMath()
+        monkeypatch.setattr(arith, "math", counting)
+        assert classify(self.BUDGET, effort=63) == Unknown(self.BUDGET)
+        assert counting.run_gcds == 0
+
+    def test_above_int64_keeps_the_run_gcds(self, monkeypatch):
+        counting = _CountingMath()
+        monkeypatch.setattr(arith, "math", counting)
+        n = (INT64 + 9) * self.BUDGET
+        assert _small_factors(n) == reference_small_factors(n)
+        assert counting.run_gcds == len(RUNS) == 52

@@ -39,6 +39,15 @@ def reference_holds_for(cert: OddValuation, n: int) -> bool:
     return n >= 1 and n % pk == 0 and n % (pk * cert.p) != 0
 
 
+def _ints_of(verdict):
+    # every integer a verdict carries
+    if isinstance(verdict, Member):
+        return (verdict.x, verdict.y)
+    if isinstance(verdict, Unknown):
+        return (verdict.residual,)
+    return tuple(vars(verdict.certificate).values())
+
+
 class TestCertificates:
     def test_odd_valuation_validation(self):
         OddValuation(3, 1)
@@ -167,6 +176,24 @@ class TestClassify:
         assert calls.count(999983) == 1
         assert calls.count(1000003) == 1
         assert v == NonMember(OddValuation(999983, 1))
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 25, 6, 1001, 4204471795837421, 999983**3, (1 << 63) + 9]
+    )
+    def test_numpy_integers_answer_as_python_ints(self, n):
+        for effort in (63, arith.DEFAULT_EFFORT):
+            want = classify(n, effort=effort)
+            kinds = (np.int64, np.uint64) if n < 1 << 63 else (np.uint64,)
+            for kind in kinds:
+                got = classify(kind(n), effort=effort)
+                assert got == want
+                assert all(type(v) is int for v in _ints_of(got))
+
+    def test_float_raises_type_error_first(self):
+        # before the range check, which would raise ValueError for 0 and -3
+        for n in (0.0, -3.0, 25.0, np.float64(25), np.float64(0)):
+            with pytest.raises(TypeError):
+                classify(n)
 
     @settings(max_examples=40)
     @given(st.integers(min_value=1, max_value=10**10))

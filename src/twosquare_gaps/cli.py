@@ -7,7 +7,7 @@ so every command pipes cleanly.  Exit codes are part of the interface:
     1  verify: an offset has no certificate / unwritable --out / runtime failure
     2  inadmissible modulus prime (or argparse flag errors, its convention)
     3  malformed or out-of-range construction document
-    4  halve: every interval index is bad
+    4  halve, bounds: every interval index is bad (bounds names the Y)
     5  shift outside [1, value(P)]
 """
 
@@ -22,19 +22,21 @@ from pathlib import Path
 from .construction import (
     InadmissibleModulusError,
     ShiftRangeError,
+    _covering_walk,
+    _halving_json,
+    _render_rows,
     construction_from_json,
     construction_to_json,
     richards_construction,
-    verify_covering,
 )
 from .halving import (
     NoGoodIntervalError,
-    efficiency_report,
+    _checked_elements,
+    _efficiency,
+    _gap_interval,
     efficiency_row,
-    find_gap_interval,
-    halving_result_to_json,
 )
-from .oracle import OddValuation
+from .oracle import OddValuation, TwoPowerForm
 from .scanner import (
     DEFAULT_SEGMENT_SIZE,
     GAP_RATE_HALVED,
@@ -92,50 +94,61 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"malformed construction: {exc}", file=sys.stderr)
         return 3
-    report = verify_covering(c)
-    lines = []
-    for cert in report.certificates:
-        nm = cert.certificate
-        if isinstance(nm, OddValuation):
-            lines.append(f"offset {cert.offset}: odd p={nm.p} k={nm.k}")
-        else:
-            lines.append(f"offset {cert.offset}: two_power k={nm.k}")
-    if report.ok:
+    # the lines verify_covering's report gives, straight from the walk
+    table, _, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
+    covered = enumerate(table if hole is None else table[: hole - 1], 1)
+    lines = _render_rows(covered, "offset ", _verify_text)
+    if hole is None:
         lines.append(f"covered: {c.y}/{c.y}")
     else:
-        lines.append(f"uncovered at offset {report.first_uncovered}")
-    return _write_out("\n".join(lines) + "\n", args.out) or (0 if report.ok else 1)
+        lines.append(f"uncovered at offset {hole}")
+    return _write_out("\n".join(lines) + "\n", args.out) or (0 if hole is None else 1)
+
+
+def _verify_text(nm: OddValuation | TwoPowerForm) -> str:
+    if isinstance(nm, OddValuation):
+        return f": odd p={nm.p} k={nm.k}"
+    return f": two_power k={nm.k}"
 
 
 def _cmd_halve(args: argparse.Namespace) -> int:
     c = richards_construction(args.y)
     try:
-        res = find_gap_interval(
-            c, delta=args.delta, deep_verify=args.deep_verify, seed=args.seed
-        )
+        h = _gap_interval(c, args.delta)
     except NoGoodIntervalError as exc:
         print(f"no good interval index; bad set: {sorted(exc.bad_n)}", file=sys.stderr)
         return 4
-    if res.degenerate:
+    # halving_result_to_json(find_gap_interval(...)), each row written as
+    # its element is checked
+    checks = _checked_elements(h, deep_verify=args.deep_verify, seed=args.seed)
+    text = _halving_json(h, checks)
+    if h.degenerate:
         print(
             "warning: no modulus prime above delta*y; halving disabled, "
             "single interval at n=0",
             file=sys.stderr,
         )
-    row = efficiency_row(c, res)
+    row = efficiency_row(c, h)
     print(
         f"e_plain={row[3]:.4f} e_halved={row[4]:.4f} ratio={row[5]:.4f}",
         file=sys.stderr,
     )
-    return _write_out(halving_result_to_json(res), args.out)
+    return _write_out(text, args.out)
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
     ys = [int(tok) for tok in args.y_list.split(",") if tok.strip()]
-    rows = efficiency_report(ys, delta=args.delta)
     lines = ["Y,ln_plain,ln_halved,e_plain,e_halved,ratio"]
-    for y, ln_p, ln_h, e_p, e_h, ratio in rows:
-        lines.append(f"{y},{ln_p!r},{ln_h!r},{e_p!r},{e_h!r},{ratio!r}")
+    for y in ys:
+        try:
+            row = _efficiency(y, args.delta)
+        except NoGoodIntervalError as exc:
+            print(
+                f"no good interval index at Y={y}; bad set: {sorted(exc.bad_n)}",
+                file=sys.stderr,
+            )
+            return 4
+        lines.append(",".join(map(repr, row)))
     print(
         f"reference rates: 195/449 = {float(GAP_RATE_PLAIN):.6f}, "
         f"390/449 = {float(GAP_RATE_HALVED):.6f}",

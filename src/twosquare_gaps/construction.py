@@ -4,21 +4,26 @@ congruence certificate.
 
 The verifier never factors a + j.  All valuations are computed modulo the
 prime powers of P, so verification cost scales with the modulus
-description, not with the size of a.  The residue walk visits only the
-offsets j = -a (mod p) of each odd prime p, sum y/p steps over all
-primes, and those with a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2,
-found by the two-power pass the membership sieve also uses.
-The walk also yields each odd prime's largest pinned odd valuation for
-the halving module.  Its certificates are bare, one per (p, k); the
-public functions pair them with offsets.  Its document section writes
-the construction and halving documents from one set of row templates
-and reads the first, shifts in decimal past CPython's int<->str limit.
+description, not with the size of a.  The walk reduces a once, by
+value(P), and takes a mod each p^e from the modulus's remainder tree.
+The residue walk visits only the offsets j = -a (mod p) of each odd
+prime p, sum y/p steps over all primes, and those with
+a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2, found by the two-power
+pass the membership sieve also uses.  The walk also yields each odd
+prime's largest pinned odd valuation for the halving module.  Its
+certificates are bare, one per (p, k); the public functions pair them
+with offsets, and the CLI renders its rows straight from the walk's
+table.  The element check returns a status, so a caller streams its
+elements and keeps none.  The document section writes the construction
+and halving documents from one set of row templates, each certificate's
+row text rendered once, and reads the first, shifts in decimal past
+CPython's int<->str limit.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .arith import (
@@ -28,6 +33,7 @@ from .arith import (
     _MR_LADDER,
     _decimal_to_int,
     _int_to_decimal,
+    _remainders,
     integer_log,
     mod_inverse,
     sieve_primes,
@@ -132,15 +138,15 @@ def richards_construction(y: int) -> Construction:
 
 
 def _offset_residues(
-    shift: int, lo: int, hi: int, p: int, pe: int
+    r: int, lo: int, hi: int, p: int, pe: int
 ) -> Iterator[tuple[int, int]]:
-    """(j, (shift + j) mod pe) for each offset lo <= j <= hi with
-    p | shift + j, ascending; pe is a power of the prime p.
+    """(j, (r + j) mod pe) for each offset lo <= j <= hi with p | r + j,
+    ascending; pe is a power of the prime p and r a shift's residue mod pe,
+    which the caller takes from a remainder tree.
 
-    Those offsets are the progression j = -shift (mod p), so the walk
-    takes (hi - lo)/p steps and reduces the shift modulo pe once.
+    Those offsets are the progression j = -r (mod p), so the walk takes
+    (hi - lo)/p steps, each on r + j rather than on the shift itself.
     """
-    r = shift % pe
     return ((j, (r + j) % pe) for j in range(lo + (-(r + lo)) % p, hi + 1, p))
 
 
@@ -160,26 +166,31 @@ def _covering_walk(
     then each multiple of 2^k left decided alone by its residue mod 2^e,
     so 2^e takes about log2 of the window's width in steps, whatever e.
     Each prime builds one certificate per k it pins and shares it between
-    offsets.  Callers pass a validated modulus or one prime power of one,
-    so no prime is re-checked.
+    offsets.  The shift is reduced once, by value(P); the modulus's
+    remainder tree gives its residue mod each p^e.  Callers pass a
+    validated modulus or one prime power of one, so no prime is re-checked.
     """
     table: list[OddValuation | TwoPowerForm | None] = [None] * (hi - lo + 1)
     pinned: dict[int, int] = {}
-    for p, e in modulus.factors:
+    e2 = r2 = 0
+    tree = modulus._tree
+    for (p, e), pe, r0 in zip(modulus.factors, tree[0], _remainders(shift, tree)):
         if p == 2:
+            e2, r2 = e, r0
             continue
         certs, pp = {}, p * p
-        for j, r in _offset_residues(shift, lo, hi, p, p**e):
-            if r:
-                k = valuation(r, p) if r % pp == 0 else 1
-                if k % 2 == 1:
-                    if k not in certs:
-                        certs[k] = OddValuation._trusted(p, k)
-                    if table[j - lo] is None:
-                        table[j - lo] = certs[k]
+        for j, r in _offset_residues(r0, lo, hi, p, pe):
+            # k = 0 where p^e divides shift + j: the modulus pins nothing
+            k = 1 if r % pp else valuation(r, p) if r else 0
+            if k & 1:
+                cert = certs.get(k)
+                if cert is None:
+                    cert = certs[k] = OddValuation._trusted(p, k)
+                if table[j - lo] is None:
+                    table[j - lo] = cert
         pinned[p] = max(certs, default=0)
-    e2 = modulus.exponent(2)
-    for first, step, k in _two_power_hits(shift + lo, len(table), 0, e2):
+    # the two-power pass reads shift + lo only mod 2^e
+    for first, step, k in _two_power_hits(r2 + lo, len(table), 0, e2):
         cert = TwoPowerForm(k)
         for i in range(first, len(table), step):
             if table[i] is None:
@@ -231,37 +242,32 @@ class ElementCheck:
     oracle: str
 
 
-def _check_element(
+def _element_status(
     offset: int,
     element: int,
     certificate: OddValuation | TwoPowerForm,
     run_oracle: bool,
     effort: int,
     seed: int,
-) -> ElementCheck:
-    """Check one certified element twice: re-check its certificate on the
-    integer itself, then, when run_oracle is set, cross-check it with the
-    factorization oracle (classify).
+) -> str:
+    """Check one certified element twice and return its oracle status:
+    re-check its certificate on the integer itself, then, when run_oracle
+    is set, cross-check it with the factorization oracle (classify).
 
     Each caller sets its own oracle budget: interval_check once per
-    construction (value(P) <= ORACLE_VALUE_LIMIT), find_gap_interval per
-    element (element <= ORACLE_VALUE_LIMIT); deep_verify lifts both.
-    Raises AssertionError, explicitly so that python -O keeps it, when the
+    construction (value(P) <= ORACLE_VALUE_LIMIT), the halving per element
+    (element <= ORACLE_VALUE_LIMIT); deep_verify lifts both.  Raises
+    AssertionError, explicitly so that python -O keeps it, when the
     certificate fails or the oracle finds a two-squares witness.
     """
     if not certificate.holds_for(element):
         raise AssertionError(f"certificate does not hold at offset {offset}")
-    status = "skipped"
-    if run_oracle:
-        verdict = classify(element, effort=effort, seed=seed)
-        if isinstance(verdict, Member):
-            raise AssertionError(
-                f"oracle found witness for certified element {element}"
-            )
-        status = "confirmed" if isinstance(verdict, NonMember) else "unknown"
-    return ElementCheck(
-        offset=offset, element=element, certificate=certificate, oracle=status
-    )
+    if not run_oracle:
+        return "skipped"
+    verdict = classify(element, effort=effort, seed=seed)
+    if isinstance(verdict, Member):
+        raise AssertionError(f"oracle found witness for certified element {element}")
+    return "confirmed" if isinstance(verdict, NonMember) else "unknown"
 
 
 def interval_check(
@@ -279,10 +285,12 @@ def interval_check(
     """
     table, _ = _covered_walk(c)
     run_oracle = deep_verify or c.modulus.value() <= ORACLE_VALUE_LIMIT
-    return [
-        _check_element(j, c.shift + j, cert, run_oracle, effort, seed)
-        for j, cert in enumerate(table, 1)
-    ]
+    checks = []
+    for j, cert in enumerate(table, 1):
+        element = c.shift + j
+        status = _element_status(j, element, cert, run_oracle, effort, seed)
+        checks.append(ElementCheck(j, element, cert, status))
+    return checks
 
 
 def modulus_growth(y: int) -> float:
@@ -309,15 +317,36 @@ def _json_pairs(pairs: Iterable[tuple[int, int]]) -> str:
     return _json_list(_PAIR_ROW.format(p, e) for p, e in pairs)
 
 
-_ODD_ROW = '[\n      {},\n      "odd",\n      {},\n      {}\n    ]'
-_TWO_POWER_ROW = '[\n      {},\n      "two_power",\n      2,\n      {}\n    ]'
+# a certificate row after its offset
+_ODD_ROW = ',\n      "odd",\n      {},\n      {}\n    ]'
+_TWO_POWER_ROW = ',\n      "two_power",\n      2,\n      {}\n    ]'
 
 
-def _certificate_row(chk: ElementCheck) -> str:
-    nm = chk.certificate
+def _certificate_row(nm: OddValuation | TwoPowerForm) -> str:
     if isinstance(nm, OddValuation):
-        return _ODD_ROW.format(chk.offset, nm.p, nm.k)
-    return _TWO_POWER_ROW.format(chk.offset, nm.k)
+        return _ODD_ROW.format(nm.p, nm.k)
+    return _TWO_POWER_ROW.format(nm.k)
+
+
+def _render_rows(
+    items: Iterable[tuple],
+    prefix: str,
+    render: Callable[[OddValuation | TwoPowerForm], str],
+) -> list[str]:
+    """prefix + offset + render(certificate) for each item, an (offset,
+    certificate, ...) tuple, taken as it comes.  Each certificate is
+    rendered once, keyed by identity, since the covering walk shares one
+    object per (p, k); the cache holds the certificate, so its id is not
+    reused meanwhile."""
+    texts: dict[int, tuple[object, str]] = {}
+    rows = []
+    for item in items:
+        nm = item[1]
+        hit = texts.get(id(nm))
+        if hit is None:
+            hit = texts[id(nm)] = (nm, render(nm))
+        rows.append(f"{prefix}{item[0]}{hit[1]}")
+    return rows
 
 
 def construction_to_json(c: Construction) -> str:
@@ -329,9 +358,19 @@ def construction_to_json(c: Construction) -> str:
 
 
 def halving_result_to_json(res) -> str:
+    items = ((chk.offset, chk.certificate) for chk in res.certificates)
+    return _halving_json(res, items)
+
+
+def _halving_json(res, items: Iterable[tuple]) -> str:
+    """The halving document of res, a HalvingResult or any object with its
+    delta, halved_modulus, a0, bad_n, chosen_n and interval, with one
+    certificate row per (offset, certificate, ...) item, each rendered as
+    it comes; an exception from items propagates before the document
+    exists."""
+    certificates = _json_list(_render_rows(items, "[\n      ", _certificate_row))
     bad_n = _json_list(map(str, sorted(res.bad_n)))
     interval = _json_list(f'"{_int_to_decimal(v)}"' for v in res.interval)
-    certificates = _json_list(map(_certificate_row, res.certificates))
     return (
         f'{{\n  "delta": "{res.delta!s}",\n'
         f'  "halved_modulus": {_json_pairs(res.halved_modulus.factors)},\n'

@@ -19,34 +19,49 @@ oracle when the element itself is at most 10^18 (a per-element budget).
 find_gap_interval runs the construction module's covering walk once and
 takes the certificates and each prime's largest pinned odd valuation
 from it; the screen walks the halved modulus's large primes the same
-way (offsets j = -shift mod p only).  One private helper derives the
-plan (checked delta, cutoff, halved modulus, reduced shift) for every
-entry point.  A construction the halving leaves unchanged (degenerate)
-needs no special case: a modulus prime at exponent 1 pins nothing and
-drops out, and a large prime keeps exponent 1, so an unchanged modulus
-has no prime above the cutoff, an empty bad set and interval index 0.
-The construction module writes the halving document beside its own.
+way (offsets j = -shift mod p only), with a0 and value(halved) mod each
+p^2 from one remainder tree over the p^2.  One private helper derives
+the plan (checked delta, cutoff, halved modulus, reduced shift) for
+every entry point.  The halving up to its element checks is a private
+value, and a private generator checks its elements one at a time: the
+CLI's halve writes each row as its element passes and bounds keeps only
+the interval's top, while find_gap_interval collects the same stream
+into ElementCheck objects.  A construction the halving leaves unchanged
+(degenerate) needs no special case: a modulus prime at exponent 1 pins
+nothing and drops out, and a large prime keeps exponent 1, so an
+unchanged modulus has no prime above the cutoff, an empty bad set and
+interval index 0.  The construction module writes the halving document
+beside its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .arith import DEFAULT_EFFORT, FactoredInteger, mod_inverse, prime_count
+from .arith import (
+    DEFAULT_EFFORT,
+    FactoredInteger,
+    _product_tree,
+    _remainders,
+    mod_inverse,
+    prime_count,
+)
 from .construction import (
     ORACLE_VALUE_LIMIT,
     Construction,
     ElementCheck,
-    _check_element,
     _covered_walk,
     _covering_walk,
+    _element_status,
     _offset_residues,
     halving_result_to_json,
     richards_construction,
 )
-from .oracle import OddValuation
+from .oracle import OddValuation, TwoPowerForm
 
 
 class NoGoodIntervalError(RuntimeError):
@@ -140,17 +155,22 @@ def _exceptional_pairs(
     y: int, halved: FactoredInteger, a0: int, threshold: int
 ) -> list[tuple[int, int, int | None]]:
     # exceptional_pairs on a halved modulus and reduced shift already built
-    v = halved.value()
-    pairs: list[tuple[int, int, int | None]] = []
+    large = []
     for p, e in halved.factors:
-        if p <= threshold:
-            continue
-        if e != 1:
-            raise AssertionError(f"large prime {p} has exponent {e}, not 1")
-        pp = p * p
+        if p > threshold:
+            if e != 1:
+                raise AssertionError(f"large prime {p} has exponent {e}, not 1")
+            large.append(p)
+    pairs: list[tuple[int, int, int | None]] = []
+    if not large:
+        return pairs
+    # a0 and value mod each p^2, from one remainder tree over the p^2
+    tree = _product_tree([p * p for p in large])
+    a0_res, v_res = _remainders(a0, tree), _remainders(halved.value(), tree)
+    for p, pp, ra, rv in zip(large, tree[0], a0_res, v_res):
         # (value/p) mod p and ((a0 + j)/p) mod p, read off residues mod p^2
-        cofactor_inv = mod_inverse(v % pp // p, p)
-        for j, r in _offset_residues(a0, 1, y, p, pp):
+        cofactor_inv = mod_inverse(rv // p, p)
+        for j, r in _offset_residues(ra, 1, y, p, pp):
             n = (-(r // p) * cofactor_inv) % p
             pairs.append((j, p, n if n <= threshold else None))
     return pairs
@@ -176,6 +196,61 @@ def enumerate_bad_n(c: Construction, delta) -> frozenset[int]:
     return _bad_set(exceptional_pairs(c, delta))
 
 
+class _Halving(NamedTuple):
+    """A halving up to its element checks: the plan, the bad set, the
+    least good index and its interval, and the covering walk's table.
+    It has the fields of a HalvingResult that the document and
+    efficiency_row read."""
+
+    delta: Fraction
+    threshold: int
+    halved_modulus: FactoredInteger
+    a0: int
+    bad_n: frozenset[int]
+    chosen_n: int
+    interval: tuple[int, int]
+    degenerate: bool
+    table: list[OddValuation | TwoPowerForm]
+
+
+def _gap_interval(c: Construction, delta) -> _Halving:
+    # find_gap_interval before its element checks
+    table, pinned = _covered_walk(c)
+    delta, threshold, halved, a0 = _halved(c, pinned, delta)
+    bad = _bad_set(_exceptional_pairs(c.y, halved, a0, threshold))
+    chosen = next((n for n in range(threshold + 1) if n not in bad), None)
+    if chosen is None:
+        raise NoGoodIntervalError(bad)
+    base = a0 + chosen * halved.value()
+    degenerate = halved.factors == c.modulus.factors
+    interval = (base + 1, base + c.y)
+    return _Halving(
+        delta, threshold, halved, a0, bad, chosen, interval, degenerate, table
+    )
+
+
+def _checked_elements(
+    h: _Halving,
+    effort: int = DEFAULT_EFFORT,
+    deep_verify: bool = False,
+    seed: int = 0,
+) -> Iterator[tuple[int, OddValuation | TwoPowerForm, str]]:
+    """(j, certificate, oracle status) for each element of h's interval in
+    turn, after the construction module's element check of that element;
+    the oracle runs on elements up to 10^18, or on all with deep_verify."""
+    base, threshold = h.interval[0] - 1, h.threshold
+    for j, nm in enumerate(h.table, 1):
+        if isinstance(nm, OddValuation) and nm.p > threshold and nm.k > 1:
+            # large prime: the halved modulus pins one factor of p, so k >= 3
+            # becomes exactly 1 and the walk's shared k = 1 stays; the element
+            # check confirms p*p does not divide the element rather than
+            # trusting the bad-set bookkeeping; Construction has validated p
+            nm = OddValuation._trusted(nm.p, 1)
+        element = base + j
+        run_oracle = deep_verify or element <= ORACLE_VALUE_LIMIT
+        yield j, nm, _element_status(j, element, nm, run_oracle, effort, seed)
+
+
 def find_gap_interval(
     c: Construction,
     delta=Fraction(1, 2),
@@ -191,39 +266,23 @@ def find_gap_interval(
     (deep_verify lifts the budget).  Raises NoGoodIntervalError when the
     bad set swallows every index, and ValueError if c is not covered.
     """
-    table, pinned = _covered_walk(c)
-    delta, threshold, halved, a0 = _halved(c, pinned, delta)
-    bad = _bad_set(_exceptional_pairs(c.y, halved, a0, threshold))
-    chosen = next((n for n in range(threshold + 1) if n not in bad), None)
-    if chosen is None:
-        raise NoGoodIntervalError(bad)
-
-    base = a0 + chosen * halved.value()
-    checks = []
-    for j, nm in enumerate(table, 1):
-        if isinstance(nm, OddValuation) and nm.p > threshold and nm.k > 1:
-            # large prime: the halved modulus pins one factor of p, so k >= 3
-            # becomes exactly 1 and the walk's shared k = 1 stays; the element
-            # check confirms p*p does not divide the element rather than
-            # trusting the bad-set bookkeeping; Construction has validated p
-            nm = OddValuation._trusted(nm.p, 1)
-        element = base + j
-        run_oracle = deep_verify or element <= ORACLE_VALUE_LIMIT
-        checks.append(_check_element(j, element, nm, run_oracle, effort, seed))
+    h = _gap_interval(c, delta)
+    base = h.interval[0] - 1
+    checks = _checked_elements(h, effort, deep_verify, seed)
     return HalvingResult(
         y=c.y,
-        delta=delta,
+        delta=h.delta,
         # primes <= threshold at the trimmed exponents the halved modulus keeps
         small_part=FactoredInteger._trusted(
-            tuple((p, e) for p, e in halved.factors if p <= threshold)
+            tuple((p, e) for p, e in h.halved_modulus.factors if p <= h.threshold)
         ),
-        halved_modulus=halved,
-        a0=a0,
-        bad_n=bad,
-        chosen_n=chosen,
-        interval=(base + 1, base + c.y),
-        certificates=tuple(checks),
-        degenerate=halved.factors == c.modulus.factors,
+        halved_modulus=h.halved_modulus,
+        a0=h.a0,
+        bad_n=h.bad_n,
+        chosen_n=h.chosen_n,
+        interval=h.interval,
+        certificates=tuple(ElementCheck(j, base + j, nm, st) for j, nm, st in checks),
+        degenerate=h.degenerate,
     )
 
 
@@ -231,18 +290,28 @@ def efficiency_report(ys: list[int], delta=Fraction(1, 2)) -> list[tuple]:
     """Rows (y, ln_plain, ln_halved, e_plain, e_halved, ratio).
 
     e_plain = y / ln(a + y) for the plain construction, e_halved uses the
-    top of the chosen halved interval; ratio is their quotient (the
-    halving payoff, approaching 2 from below as the small part thins out).
+    top of the chosen halved interval; ratio is their quotient, the
+    halving payoff.  At a fixed delta it tends to 8/(4 + delta), not 2:
+    ln value(P) is about 4y, and the halved modulus keeps the primes up to
+    delta*y at exponent 2 and the rest at 1, about (2 + delta/2)y.  Every
+    element is still checked, and cross-checked by the oracle up to 10^18.
     """
-    rows = []
-    for y in ys:
-        c = richards_construction(y)
-        rows.append(efficiency_row(c, find_gap_interval(c, delta)))
-    return rows
+    return [_efficiency(y, delta) for y in ys]
+
+
+def _efficiency(y: int, delta) -> tuple:
+    # one efficiency_report row: every element check runs, and only the
+    # interval's top is kept
+    c = richards_construction(y)
+    h = _gap_interval(c, delta)
+    for _ in _checked_elements(h):
+        pass
+    return efficiency_row(c, h)
 
 
 def efficiency_row(c: Construction, res: HalvingResult) -> tuple:
-    """The efficiency_report row of a construction and its halving result."""
+    """The efficiency_report row of a construction and its halving result
+    (only res.interval is read)."""
     ln_plain = math.log(c.shift + c.y)
     ln_halved = math.log(res.interval[1])
     e_plain = c.y / ln_plain

@@ -84,8 +84,9 @@ class OddValuation:
         # library's own factorization, a prime of a validated construction
         # modulus, or a prime certify_non_membership has just checked
         obj = object.__new__(cls)
-        object.__setattr__(obj, "p", p)
-        object.__setattr__(obj, "k", k)
+        # the fields straight into __dict__, past the frozen __setattr__
+        fields = obj.__dict__
+        fields["p"], fields["k"] = p, k
         return obj
 
     def holds_for(self, n: int) -> bool:

@@ -33,8 +33,7 @@ import numpy as np
 from .arith import CapacityError
 from .oracle import _SIEVE_VALUE_CAP, membership_sieve
 
-# Reference slopes for gap/ln comparisons: the plain covering construction
-# supports the first, exponent halving doubles it.
+# The reference rates that bounds prints, slopes for g(X)/ln X comparisons.
 GAP_RATE_PLAIN = Fraction(195, 449)
 GAP_RATE_HALVED = Fraction(390, 449)
 

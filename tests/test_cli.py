@@ -215,7 +215,7 @@ class TestHalve:
         def boom(*args, **kwargs):
             raise NoGoodIntervalError(frozenset({0, 1}))
 
-        monkeypatch.setattr(cli, "find_gap_interval", boom)
+        monkeypatch.setattr(cli, "_gap_interval", boom)
         code, _, err = run(capsys, "halve", "--y", "10")
         assert code == 4
         assert "bad set" in err
@@ -224,15 +224,12 @@ class TestHalve:
         from twosquare_gaps.arith import FactoredInteger
         from twosquare_gaps.construction import Construction
 
+        # halve runs the halving of whatever richards_construction returns
         synth = Construction(
             y=5, modulus=FactoredInteger(((2, 4), (3, 2))), shift=90
         )
-        res = find_gap_interval(synth, Fraction(7, 10))
+        assert find_gap_interval(synth, Fraction(7, 10)).degenerate
         monkeypatch.setattr(cli, "richards_construction", lambda y: synth)
-        monkeypatch.setattr(cli, "find_gap_interval", lambda *a, **k: res)
-        monkeypatch.setattr(
-            cli, "efficiency_report", lambda ys, delta: [(5, 1.0, 1.0, 1.0, 1.0, 1.0)]
-        )
         code, _, err = run(capsys, "halve", "--y", "5", "--delta", "7/10")
         assert code == 0
         assert "halving disabled" in err
@@ -258,6 +255,24 @@ class TestBounds:
         code, out, _ = run(capsys, "bounds", "--y-list", "10,20")
         assert code == 0
         assert len(out.strip().split("\n")) == 3
+
+    def test_no_good_interval_exit_4(self, capsys, tmp_path):
+        # Y = 100 at delta 1/16 leaves no good index; halve and bounds both
+        # exit 4 with one line, and bounds names the Y and writes nothing
+        target = tmp_path / "bounds.csv"
+        code, out, _ = run(
+            capsys, "bounds", "--y-list", "176,200", "--delta", "1/16", "--out", str(target)
+        )
+        assert (code, out) == (0, "")
+        table = target.read_text()
+        code, out, err = run(
+            capsys, "bounds", "--y-list", "176,100", "--delta", "1/16", "--out", str(target)
+        )
+        bad = "[0, 1, 2, 3, 4, 5, 6]"
+        assert (code, out, err) == (4, "", f"no good interval index at Y=100; bad set: {bad}\n")
+        assert target.read_text() == table
+        code, out, err = run(capsys, "halve", "--y", "100", "--delta", "1/16")
+        assert (code, out, err) == (4, "", f"no good interval index; bad set: {bad}\n")
 
 
 @pytest.mark.parametrize(
@@ -383,29 +398,30 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
     for module in (construction, halving):
         counted(module, "_covering_walk")
         counted(module, "_offset_residues")
+        counted(module, "_remainders")
     counted(halving, "_exceptional_pairs")
-    counted(cli, "find_gap_interval")
+    counted(cli, "_gap_interval")
     target = tmp_path / "halve.json"
     code, _, _ = run(capsys, "halve", "--y", "50", "--out", str(target))
     assert code == 0
     # one residue pass per odd modulus prime in the covering walk, then one
     # per large prime of the halved modulus (above delta * y = 25) in the
-    # bad-set screen
+    # bad-set screen; their starting residues come from one remainder tree
+    # descent of the shift, then one each of a0 and value(halved)
     halved = json.loads(target.read_text())["halved_modulus"]
     passes = len(richards_modulus(50).factors) + sum(p > 25 for p, _ in halved)
     assert calls == {
         "_covering_walk": 1,
         "_offset_residues": passes,
+        "_remainders": 3,
         "_exceptional_pairs": 1,
-        "find_gap_interval": 1,
+        "_gap_interval": 1,
     }
 
 
-def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
-    # one ladder pass of the benchmark's construct workload (seed 0) through
-    # cli.main decides by integers and identity: no dataclass's __eq__ runs.
-    # The covering walk builds one OddValuation per (p, k) it pins, not one
-    # per covered offset (21452 in this pass), and tests no prime again
+def ladder_pass(capsys, tmp_path, monkeypatch) -> None:
+    """One ladder pass of the benchmark's construct workload (seed 0)
+    through cli.main, each command exiting 0."""
     path = Path(__file__).parents[1] / "perfbench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
@@ -413,6 +429,21 @@ def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, inputs)
     spec.loader.exec_module(inputs)
     rungs, bounds_ys = next(inputs.ladder_passes(0, False))
+    doc, report, halved = tmp_path / "c.json", tmp_path / "v.txt", tmp_path / "h.json"
+    for y in rungs:
+        if y < inputs.RICHARDS_BELOW_Y:
+            assert run(capsys, "richards", "--y", str(y), "--out", str(doc))[0] == 0
+            assert run(capsys, "verify", str(doc), "--out", str(report))[0] == 0
+        assert run(capsys, "halve", "--y", str(y), "--out", str(halved))[0] == 0
+    ylist = ",".join(map(str, bounds_ys))
+    assert run(capsys, "bounds", "--y-list", ylist, "--out", str(tmp_path / "b.csv"))[0] == 0
+
+
+def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
+    # one ladder pass of the benchmark's construct workload (seed 0) through
+    # cli.main decides by integers and identity: no dataclass's __eq__ runs.
+    # The covering walk builds one OddValuation per (p, k) it pins, not one
+    # per covered offset (21452 in this pass), and tests no prime again
     classes = {
         cls
         for module in (arith, oracle, construction, halving, scanner, cli)
@@ -449,14 +480,7 @@ def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(oracle, "is_prime", counted_is_prime)
     # a certificate prime tested by an earlier test would not be tested here
     oracle._checked_cert_prime.cache_clear()
-    doc, report, halved = tmp_path / "c.json", tmp_path / "v.txt", tmp_path / "h.json"
-    for y in rungs:
-        if y < inputs.RICHARDS_BELOW_Y:
-            assert run(capsys, "richards", "--y", str(y), "--out", str(doc))[0] == 0
-            assert run(capsys, "verify", str(doc), "--out", str(report))[0] == 0
-        assert run(capsys, "halve", "--y", str(y), "--out", str(halved))[0] == 0
-    ylist = ",".join(map(str, bounds_ys))
-    assert run(capsys, "bounds", "--y-list", ylist, "--out", str(tmp_path / "b.csv"))[0] == 0
+    ladder_pass(capsys, tmp_path, monkeypatch)
     assert Counter(compared) == {}
     assert len(built) <= 6000
     assert len(primes) == 1780
@@ -466,3 +490,23 @@ def test_ladder_pass_compares_no_dataclasses(capsys, tmp_path, monkeypatch):
         nm = cert.certificate
         assert shared.setdefault((type(nm), *dataclasses.astuple(nm)), nm) is nm
     assert len(shared) < 300
+
+
+def test_ladder_pass_builds_no_per_element_objects(capsys, tmp_path, monkeypatch):
+    # richards, verify, halve and bounds go from the walk to their output
+    # rows without an ElementCheck or a CoveringCertificate per element
+    built = Counter()
+    for cls in (construction.ElementCheck, construction.CoveringCertificate):
+        init = cls.__init__
+
+        def counted(self, *args, init=init, **kwargs):
+            built[type(self).__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    ladder_pass(capsys, tmp_path, monkeypatch)
+    assert built == {}
+    # the counters count: the public API still builds them
+    verify_covering(richards_construction(10))
+    find_gap_interval(richards_construction(10))
+    assert built == {"CoveringCertificate": 10, "ElementCheck": 10}

@@ -74,9 +74,9 @@ class TestHasOddCover:
         passes = []
         walk = construction_mod._offset_residues
 
-        def counted(shift, lo, hi, p, pe):
+        def counted(r, lo, hi, p, pe):
             passes.append(p)
-            return walk(shift, lo, hi, p, pe)
+            return walk(r, lo, hi, p, pe)
 
         monkeypatch.setattr(construction_mod, "_offset_residues", counted)
         c = richards_construction(50)
@@ -327,6 +327,14 @@ class TestEfficiencyReport:
         assert row[1] == pytest.approx(math.log(richards10.shift + 10))
         assert row[2] == pytest.approx(math.log(res.interval[1]))
         assert row[5] == pytest.approx(row[4] / row[3])
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)])
+    def test_ratio_tends_to_8_over_4_plus_delta(self, delta):
+        # ln value(P) is about 4Y and the halved modulus keeps the primes up
+        # to delta * Y at exponent 2 and the rest at 1, about (2 + delta/2) Y,
+        # so the payoff tends to 8 / (4 + delta), not 2
+        (row,) = efficiency_report([3000], delta)
+        assert abs(row[5] - 8 / (4 + delta)) <= 0.02
 
 
 class TestSmallPrimeContribution:

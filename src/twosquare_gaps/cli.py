@@ -1,7 +1,10 @@
 """Command line front end.
 
 Data goes to --out or standard output; diagnostics go to standard error,
-so every command pipes cleanly.  Exit codes are part of the interface:
+so every command pipes cleanly.  Each command reaches the library through
+the module that owns its output: construction for the documents and the
+verify report, halving for the halving and the bounds table.  Exit codes
+are part of the interface:
 
     0  success (verify: fully covered)
     1  verify: an offset has no certificate / unwritable --out / runtime failure
@@ -22,21 +25,18 @@ from pathlib import Path
 from .construction import (
     InadmissibleModulusError,
     ShiftRangeError,
-    _covering_walk,
     _halving_json,
-    _render_rows,
+    _verify_report,
     construction_from_json,
     construction_to_json,
     richards_construction,
 )
 from .halving import (
     NoGoodIntervalError,
-    _checked_elements,
-    _efficiency,
     _gap_interval,
+    efficiency_report,
     efficiency_row,
 )
-from .oracle import OddValuation, TwoPowerForm
 from .scanner import (
     DEFAULT_SEGMENT_SIZE,
     GAP_RATE_HALVED,
@@ -94,34 +94,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"malformed construction: {exc}", file=sys.stderr)
         return 3
-    # the lines verify_covering's report gives, straight from the walk
-    table, _, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
-    covered = enumerate(table if hole is None else table[: hole - 1], 1)
-    lines = _render_rows(covered, "offset ", _verify_text)
-    if hole is None:
-        lines.append(f"covered: {c.y}/{c.y}")
-    else:
-        lines.append(f"uncovered at offset {hole}")
-    return _write_out("\n".join(lines) + "\n", args.out) or (0 if hole is None else 1)
-
-
-def _verify_text(nm: OddValuation | TwoPowerForm) -> str:
-    if isinstance(nm, OddValuation):
-        return f": odd p={nm.p} k={nm.k}"
-    return f": two_power k={nm.k}"
+    text, hole = _verify_report(c)
+    return _write_out(text, args.out) or (0 if hole is None else 1)
 
 
 def _cmd_halve(args: argparse.Namespace) -> int:
     c = richards_construction(args.y)
     try:
-        h = _gap_interval(c, args.delta)
+        h = _gap_interval(c, args.delta, deep_verify=args.deep_verify, seed=args.seed)
     except NoGoodIntervalError as exc:
         print(f"no good interval index; bad set: {sorted(exc.bad_n)}", file=sys.stderr)
         return 4
     # halving_result_to_json(find_gap_interval(...)), each row written as
     # its element is checked
-    checks = _checked_elements(h, deep_verify=args.deep_verify, seed=args.seed)
-    text = _halving_json(h, checks)
+    text = _halving_json(h, h.elements)
     if h.degenerate:
         print(
             "warning: no modulus prime above delta*y; halving disabled, "
@@ -141,7 +127,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     lines = ["Y,ln_plain,ln_halved,e_plain,e_halved,ratio"]
     for y in ys:
         try:
-            row = _efficiency(y, args.delta)
+            (row,) = efficiency_report([y], args.delta)
         except NoGoodIntervalError as exc:
             print(
                 f"no good interval index at Y={y}; bad set: {sorted(exc.bad_n)}",

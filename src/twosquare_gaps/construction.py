@@ -12,12 +12,13 @@ a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2, found by the two-power
 pass the membership sieve also uses.  The walk also yields each odd
 prime's largest pinned odd valuation for the halving module.  Its
 certificates are bare, one per (p, k); the public functions pair them
-with offsets, and the CLI renders its rows straight from the walk's
-table.  The element check returns a status, so a caller streams its
-elements and keeps none.  The document section writes the construction
-and halving documents from one set of row templates, each certificate's
-row text rendered once, and reads the first, shifts in decimal past
-CPython's int<->str limit.
+with offsets.  One generator checks the elements of every certified
+interval, the covering's and the halving's, one at a time, so a caller
+streams them and keeps none.  The document section writes the
+construction and halving documents and the verify report from row
+templates straight from the walk's table, each certificate's row text
+rendered once, and reads the first, shifts in decimal past CPython's
+int<->str limit.
 """
 
 from __future__ import annotations
@@ -242,32 +243,32 @@ class ElementCheck:
     oracle: str
 
 
-def _element_status(
-    offset: int,
-    element: int,
-    certificate: OddValuation | TwoPowerForm,
-    run_oracle: bool,
+def _element_checks(
+    table: list[OddValuation | TwoPowerForm],
+    base: int,
+    oracle_limit: int | None,
     effort: int,
     seed: int,
-) -> str:
-    """Check one certified element twice and return its oracle status:
-    re-check its certificate on the integer itself, then, when run_oracle
-    is set, cross-check it with the factorization oracle (classify).
-
-    Each caller sets its own oracle budget: interval_check once per
-    construction (value(P) <= ORACLE_VALUE_LIMIT), the halving per element
-    (element <= ORACLE_VALUE_LIMIT); deep_verify lifts both.  Raises
-    AssertionError, explicitly so that python -O keeps it, when the
+) -> Iterator[tuple[int, OddValuation | TwoPowerForm, str]]:
+    """(j, certificate table[j - 1], oracle status) for each element
+    base + j in turn, once its certificate holds on the integer itself and
+    the oracle (classify) has cross-checked it if it is at most
+    oracle_limit (None: no limit).  interval_check's budget is every
+    element or none, by value(P); the halving's is each element's size.
+    Raises AssertionError, explicitly so that python -O keeps it, when a
     certificate fails or the oracle finds a two-squares witness.
     """
-    if not certificate.holds_for(element):
-        raise AssertionError(f"certificate does not hold at offset {offset}")
-    if not run_oracle:
-        return "skipped"
-    verdict = classify(element, effort=effort, seed=seed)
-    if isinstance(verdict, Member):
-        raise AssertionError(f"oracle found witness for certified element {element}")
-    return "confirmed" if isinstance(verdict, NonMember) else "unknown"
+    for j, cert in enumerate(table, 1):
+        n = base + j
+        if not cert.holds_for(n):
+            raise AssertionError(f"certificate does not hold at offset {j}")
+        if oracle_limit is not None and n > oracle_limit:
+            yield j, cert, "skipped"
+            continue
+        verdict = classify(n, effort=effort, seed=seed)
+        if isinstance(verdict, Member):
+            raise AssertionError(f"oracle found witness for certified element {n}")
+        yield j, cert, "confirmed" if isinstance(verdict, NonMember) else "unknown"
 
 
 def interval_check(
@@ -284,13 +285,9 @@ def interval_check(
     never collapsed: a certificate is derived from congruences only.
     """
     table, _ = _covered_walk(c)
-    run_oracle = deep_verify or c.modulus.value() <= ORACLE_VALUE_LIMIT
-    checks = []
-    for j, cert in enumerate(table, 1):
-        element = c.shift + j
-        status = _element_status(j, element, cert, run_oracle, effort, seed)
-        checks.append(ElementCheck(j, element, cert, status))
-    return checks
+    limit = None if deep_verify or c.modulus.value() <= ORACLE_VALUE_LIMIT else 0
+    checks = _element_checks(table, c.shift, limit, effort, seed)
+    return [ElementCheck(j, c.shift + j, cert, st) for j, cert, st in checks]
 
 
 def modulus_growth(y: int) -> float:
@@ -326,6 +323,12 @@ def _certificate_row(nm: OddValuation | TwoPowerForm) -> str:
     if isinstance(nm, OddValuation):
         return _ODD_ROW.format(nm.p, nm.k)
     return _TWO_POWER_ROW.format(nm.k)
+
+
+def _verify_text(nm: OddValuation | TwoPowerForm) -> str:
+    if isinstance(nm, OddValuation):
+        return f": odd p={nm.p} k={nm.k}"
+    return f": two_power k={nm.k}"
 
 
 def _render_rows(
@@ -380,6 +383,16 @@ def _halving_json(res, items: Iterable[tuple]) -> str:
         f'  "interval": {interval},\n'
         f'  "certificates": {certificates}\n}}\n'
     )
+
+
+def _verify_report(c: Construction) -> tuple[str, int | None]:
+    """The verify command's report on c, a line per certificate of
+    verify_covering's report and then its end, and the first hole."""
+    table, _, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
+    covered = enumerate(table if hole is None else table[: hole - 1], 1)
+    lines = _render_rows(covered, "offset ", _verify_text)
+    end = f"covered: {c.y}/{c.y}" if hole is None else f"uncovered at offset {hole}"
+    return "\n".join(lines + [end]) + "\n", hole
 
 
 def construction_from_json(text: str) -> Construction:

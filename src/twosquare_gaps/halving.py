@@ -13,7 +13,7 @@ element would pick up a square factor of a large prime; the least
 surviving n gives the certified interval.  Its elements carry the
 covering certificates over: a small prime's valuation stays exact, a
 large prime's becomes exactly 1.  The construction module's element
-check re-checks each one on the element, and cross-checks it with the
+stream re-checks each one on the element, and cross-checks it with the
 oracle when the element itself is at most 10^18 (a per-element budget).
 
 find_gap_interval runs the construction module's covering walk once and
@@ -22,16 +22,15 @@ from it; the screen walks the halved modulus's large primes the same
 way (offsets j = -shift mod p only), with a0 and value(halved) mod each
 p^2 from one remainder tree over the p^2.  One private helper derives
 the plan (checked delta, cutoff, halved modulus, reduced shift) for
-every entry point.  The halving up to its element checks is a private
-value, and a private generator checks its elements one at a time: the
-CLI's halve writes each row as its element passes and bounds keeps only
-the interval's top, while find_gap_interval collects the same stream
-into ElementCheck objects.  A construction the halving leaves unchanged
-(degenerate) needs no special case: a modulus prime at exponent 1 pins
-nothing and drops out, and a large prime keeps exponent 1, so an
-unchanged modulus has no prime above the cutoff, an empty bad set and
-interval index 0.  The construction module writes the halving document
-beside its own.
+every entry point.  A private value holds the halving with its lazy
+element stream, which every consumer reads once: the CLI's halve writes
+each row as its element passes, efficiency_report keeps only the
+interval's top, and find_gap_interval collects ElementCheck objects.
+A construction the halving leaves unchanged (degenerate) needs no
+special case: a modulus prime at exponent 1 pins nothing and drops out,
+and a large prime keeps exponent 1, so an unchanged modulus has no prime
+above the cutoff, an empty bad set and interval index 0.  The
+construction module writes the halving document beside its own.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from .construction import (
     ElementCheck,
     _covered_walk,
     _covering_walk,
-    _element_status,
+    _element_checks,
     _offset_residues,
     halving_result_to_json,
     richards_construction,
@@ -197,8 +196,8 @@ def enumerate_bad_n(c: Construction, delta) -> frozenset[int]:
 
 
 class _Halving(NamedTuple):
-    """A halving up to its element checks: the plan, the bad set, the
-    least good index and its interval, and the covering walk's table.
+    """A halving: the plan, the bad set, the least good index and its
+    interval, and the lazy stream that checks each element as it is read.
     It has the fields of a HalvingResult that the document and
     efficiency_row read."""
 
@@ -210,45 +209,40 @@ class _Halving(NamedTuple):
     chosen_n: int
     interval: tuple[int, int]
     degenerate: bool
-    table: list[OddValuation | TwoPowerForm]
+    elements: Iterator[tuple[int, OddValuation | TwoPowerForm, str]]
 
 
-def _gap_interval(c: Construction, delta) -> _Halving:
-    # find_gap_interval before its element checks
+def _gap_interval(
+    c: Construction,
+    delta,
+    effort: int = DEFAULT_EFFORT,
+    deep_verify: bool = False,
+    seed: int = 0,
+) -> _Halving:
+    """find_gap_interval with its element checks left to the stream, which
+    runs them as it is read, so NoGoodIntervalError comes before any.  A
+    large prime's pinned k >= 3 becomes one shared (p, 1): the halved
+    modulus pins one factor of p, and the element check confirms v_p = 1."""
     table, pinned = _covered_walk(c)
     delta, threshold, halved, a0 = _halved(c, pinned, delta)
     bad = _bad_set(_exceptional_pairs(c.y, halved, a0, threshold))
     chosen = next((n for n in range(threshold + 1) if n not in bad), None)
     if chosen is None:
         raise NoGoodIntervalError(bad)
+    # Construction has validated p
+    ones = {p: OddValuation._trusted(p, 1) for p, k in pinned.items()
+            if k > 1 and p > threshold}
+    if ones:
+        table = [ones.get(nm.p, nm) if isinstance(nm, OddValuation) else nm
+                 for nm in table]
     base = a0 + chosen * halved.value()
     degenerate = halved.factors == c.modulus.factors
     interval = (base + 1, base + c.y)
+    limit = None if deep_verify else ORACLE_VALUE_LIMIT
+    elements = _element_checks(table, base, limit, effort, seed)
     return _Halving(
-        delta, threshold, halved, a0, bad, chosen, interval, degenerate, table
+        delta, threshold, halved, a0, bad, chosen, interval, degenerate, elements
     )
-
-
-def _checked_elements(
-    h: _Halving,
-    effort: int = DEFAULT_EFFORT,
-    deep_verify: bool = False,
-    seed: int = 0,
-) -> Iterator[tuple[int, OddValuation | TwoPowerForm, str]]:
-    """(j, certificate, oracle status) for each element of h's interval in
-    turn, after the construction module's element check of that element;
-    the oracle runs on elements up to 10^18, or on all with deep_verify."""
-    base, threshold = h.interval[0] - 1, h.threshold
-    for j, nm in enumerate(h.table, 1):
-        if isinstance(nm, OddValuation) and nm.p > threshold and nm.k > 1:
-            # large prime: the halved modulus pins one factor of p, so k >= 3
-            # becomes exactly 1 and the walk's shared k = 1 stays; the element
-            # check confirms p*p does not divide the element rather than
-            # trusting the bad-set bookkeeping; Construction has validated p
-            nm = OddValuation._trusted(nm.p, 1)
-        element = base + j
-        run_oracle = deep_verify or element <= ORACLE_VALUE_LIMIT
-        yield j, nm, _element_status(j, element, nm, run_oracle, effort, seed)
 
 
 def find_gap_interval(
@@ -266,9 +260,8 @@ def find_gap_interval(
     (deep_verify lifts the budget).  Raises NoGoodIntervalError when the
     bad set swallows every index, and ValueError if c is not covered.
     """
-    h = _gap_interval(c, delta)
+    h = _gap_interval(c, delta, effort, deep_verify, seed)
     base = h.interval[0] - 1
-    checks = _checked_elements(h, effort, deep_verify, seed)
     return HalvingResult(
         y=c.y,
         delta=h.delta,
@@ -281,7 +274,9 @@ def find_gap_interval(
         bad_n=h.bad_n,
         chosen_n=h.chosen_n,
         interval=h.interval,
-        certificates=tuple(ElementCheck(j, base + j, nm, st) for j, nm, st in checks),
+        certificates=tuple(
+            ElementCheck(j, base + j, nm, st) for j, nm, st in h.elements
+        ),
         degenerate=h.degenerate,
     )
 
@@ -294,19 +289,17 @@ def efficiency_report(ys: list[int], delta=Fraction(1, 2)) -> list[tuple]:
     halving payoff.  At a fixed delta it tends to 8/(4 + delta), not 2:
     ln value(P) is about 4y, and the halved modulus keeps the primes up to
     delta*y at exponent 2 and the rest at 1, about (2 + delta/2)y.  Every
-    element is still checked, and cross-checked by the oracle up to 10^18.
+    element is still checked, and cross-checked by the oracle up to 10^18;
+    only each interval's top is kept.
     """
-    return [_efficiency(y, delta) for y in ys]
-
-
-def _efficiency(y: int, delta) -> tuple:
-    # one efficiency_report row: every element check runs, and only the
-    # interval's top is kept
-    c = richards_construction(y)
-    h = _gap_interval(c, delta)
-    for _ in _checked_elements(h):
-        pass
-    return efficiency_row(c, h)
+    rows = []
+    for y in ys:
+        c = richards_construction(y)
+        h = _gap_interval(c, delta)
+        for _ in h.elements:
+            pass
+        rows.append(efficiency_row(c, h))
+    return rows
 
 
 def efficiency_row(c: Construction, res: HalvingResult) -> tuple:

@@ -399,24 +399,37 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
         counted(module, "_covering_walk")
         counted(module, "_offset_residues")
         counted(module, "_remainders")
+        counted(module, "_element_checks")
     counted(halving, "_exceptional_pairs")
     counted(cli, "_gap_interval")
+    counted(construction, "classify")
     target = tmp_path / "halve.json"
     code, _, _ = run(capsys, "halve", "--y", "50", "--out", str(target))
     assert code == 0
     # one residue pass per odd modulus prime in the covering walk, then one
     # per large prime of the halved modulus (above delta * y = 25) in the
     # bad-set screen; their starting residues come from one remainder tree
-    # descent of the shift, then one each of a0 and value(halved)
-    halved = json.loads(target.read_text())["halved_modulus"]
-    passes = len(richards_modulus(50).factors) + sum(p > 25 for p, _ in halved)
+    # descent of the shift, then one each of a0 and value(halved).  One
+    # element stream checks every element, and none is small enough for
+    # the oracle: the interval starts above 10^18
+    doc = json.loads(target.read_text())
+    large = sum(p > 25 for p, _ in doc["halved_modulus"])
+    passes = len(richards_modulus(50).factors) + large
+    assert int(doc["interval"][0]) > 10**18
     assert calls == {
         "_covering_walk": 1,
         "_offset_residues": passes,
         "_remainders": 3,
+        "_element_checks": 1,
         "_exceptional_pairs": 1,
         "_gap_interval": 1,
     }
+    # bounds runs one halving and one element stream per Y
+    calls.clear()
+    code, _, _ = run(capsys, "bounds", "--y-list", "10,37,200")
+    assert code == 0
+    assert calls["_covering_walk"] == calls["_exceptional_pairs"] == 3
+    assert calls["_element_checks"] == 3
 
 
 def ladder_pass(capsys, tmp_path, monkeypatch) -> None:

@@ -9,7 +9,7 @@ test-only reference code: the covering tries every prime for every
 offset in ascending order, and the halving references are the stride
 scans of each prime on its own, with the exceptional pairs' quotients
 and cofactors taken from the full integers.  The element checks of
-interval_check and find_gap_interval share one checker; the reference
+interval_check and find_gap_interval are one generator; the reference
 keeps the two loops each of them ran on its own, with their oracle
 budgets (value(P) per construction, the element itself in halving).
 """

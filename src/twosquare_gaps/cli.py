@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -101,20 +102,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_halve(args: argparse.Namespace) -> int:
     c = richards_construction(args.y)
     try:
-        h = _gap_interval(c, args.delta, deep_verify=args.deep_verify, seed=args.seed)
+        res, elements = _gap_interval(
+            c, args.delta, deep_verify=args.deep_verify, seed=args.seed
+        )
     except NoGoodIntervalError as exc:
         print(f"no good interval index; bad set: {sorted(exc.bad_n)}", file=sys.stderr)
         return 4
-    # halving_result_to_json(find_gap_interval(...)), each row written as
-    # its element is checked
-    text = _halving_json(h, h.elements)
-    if h.degenerate:
+    # halving_result_to_json(find_gap_interval(...)) on the same result,
+    # each row written as its element is checked
+    text = _halving_json(res, elements)
+    if res.degenerate:
         print(
             "warning: no modulus prime above delta*y; halving disabled, "
             "single interval at n=0",
             file=sys.stderr,
         )
-    row = efficiency_row(c, h)
+    row = efficiency_row(c, res)
     print(
         f"e_plain={row[3]:.4f} e_halved={row[4]:.4f} ratio={row[5]:.4f}",
         file=sys.stderr,
@@ -144,8 +147,14 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    # argparse reports ValueError, not the ZeroDivisionError of "1/0"
+    # argparse reports ValueError, not the ZeroDivisionError of "1/0".  An
+    # exponent beyond +-10^4 is refused before Fraction spends seconds to
+    # hours on 10**exponent: with the mantissa and --y capped at 4300
+    # digits, such a delta is outside (0, 1) or has delta*y <= 2 anyway
     try:
+        exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
+        if exponent and abs(int(exponent[1])) > 10**4:
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None

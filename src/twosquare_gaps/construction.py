@@ -366,11 +366,9 @@ def halving_result_to_json(res) -> str:
 
 
 def _halving_json(res, items: Iterable[tuple]) -> str:
-    """The halving document of res, a HalvingResult or any object with its
-    delta, halved_modulus, a0, bad_n, chosen_n and interval, with one
-    certificate row per (offset, certificate, ...) item, each rendered as
-    it comes; an exception from items propagates before the document
-    exists."""
+    """The halving document of res, a HalvingResult, with one certificate
+    row per (offset, certificate, ...) item, each rendered as it comes;
+    an exception from items propagates before the document exists."""
     certificates = _json_list(_render_rows(items, "[\n      ", _certificate_row))
     bad_n = _json_list(map(str, sorted(res.bad_n)))
     interval = _json_list(f'"{_int_to_decimal(v)}"' for v in res.interval)

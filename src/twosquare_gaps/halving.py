@@ -22,10 +22,11 @@ from it; the screen walks the halved modulus's large primes the same
 way (offsets j = -shift mod p only), with a0 and value(halved) mod each
 p^2 from one remainder tree over the p^2.  One private helper derives
 the plan (checked delta, cutoff, halved modulus, reduced shift) for
-every entry point.  A private value holds the halving with its lazy
-element stream, which every consumer reads once: the CLI's halve writes
-each row as its element passes, efficiency_report keeps only the
-interval's top, and find_gap_interval collects ElementCheck objects.
+every entry point.  One private builder returns the HalvingResult with
+no certificates and its lazy element stream, which every consumer reads
+once: the CLI's halve writes each row as its element passes,
+efficiency_report keeps only the interval's top, and find_gap_interval
+collects ElementCheck objects into the result.
 A construction the halving leaves unchanged (degenerate) needs no
 special case: a modulus prime at exponent 1 pins nothing and drops out,
 and a large prime keeps exponent 1, so an unchanged modulus has no prime
@@ -37,9 +38,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import (
     DEFAULT_EFFORT,
@@ -195,34 +195,18 @@ def enumerate_bad_n(c: Construction, delta) -> frozenset[int]:
     return _bad_set(exceptional_pairs(c, delta))
 
 
-class _Halving(NamedTuple):
-    """A halving: the plan, the bad set, the least good index and its
-    interval, and the lazy stream that checks each element as it is read.
-    It has the fields of a HalvingResult that the document and
-    efficiency_row read."""
-
-    delta: Fraction
-    threshold: int
-    halved_modulus: FactoredInteger
-    a0: int
-    bad_n: frozenset[int]
-    chosen_n: int
-    interval: tuple[int, int]
-    degenerate: bool
-    elements: Iterator[tuple[int, OddValuation | TwoPowerForm, str]]
-
-
 def _gap_interval(
     c: Construction,
     delta,
     effort: int = DEFAULT_EFFORT,
     deep_verify: bool = False,
     seed: int = 0,
-) -> _Halving:
-    """find_gap_interval with its element checks left to the stream, which
-    runs them as it is read, so NoGoodIntervalError comes before any.  A
-    large prime's pinned k >= 3 becomes one shared (p, 1): the halved
-    modulus pins one factor of p, and the element check confirms v_p = 1."""
+) -> tuple[HalvingResult, Iterator[tuple[int, OddValuation | TwoPowerForm, str]]]:
+    """find_gap_interval's result without certificates, and the stream of
+    (j, certificate, status) that checks each element as it is read, so
+    NoGoodIntervalError comes before any check.  A large prime's pinned
+    k >= 3 becomes one shared (p, 1): the halved modulus pins one factor
+    of p, and the element check confirms v_p = 1."""
     table, pinned = _covered_walk(c)
     delta, threshold, halved, a0 = _halved(c, pinned, delta)
     bad = _bad_set(_exceptional_pairs(c.y, halved, a0, threshold))
@@ -236,13 +220,23 @@ def _gap_interval(
         table = [ones.get(nm.p, nm) if isinstance(nm, OddValuation) else nm
                  for nm in table]
     base = a0 + chosen * halved.value()
-    degenerate = halved.factors == c.modulus.factors
-    interval = (base + 1, base + c.y)
-    limit = None if deep_verify else ORACLE_VALUE_LIMIT
-    elements = _element_checks(table, base, limit, effort, seed)
-    return _Halving(
-        delta, threshold, halved, a0, bad, chosen, interval, degenerate, elements
+    res = HalvingResult(
+        y=c.y,
+        delta=delta,
+        # primes <= threshold at the trimmed exponents the halved modulus keeps
+        small_part=FactoredInteger._trusted(
+            tuple((p, e) for p, e in halved.factors if p <= threshold)
+        ),
+        halved_modulus=halved,
+        a0=a0,
+        bad_n=bad,
+        chosen_n=chosen,
+        interval=(base + 1, base + c.y),
+        certificates=(),
+        degenerate=halved.factors == c.modulus.factors,
     )
+    limit = None if deep_verify else ORACLE_VALUE_LIMIT
+    return res, _element_checks(table, base, limit, effort, seed)
 
 
 def find_gap_interval(
@@ -259,26 +253,14 @@ def find_gap_interval(
     with the factorization oracle when they fit the value budget
     (deep_verify lifts the budget).  Raises NoGoodIntervalError when the
     bad set swallows every index, and ValueError if c is not covered.
+    This is _gap_interval's result with its element stream collected
+    into ElementCheck objects.
     """
-    h = _gap_interval(c, delta, effort, deep_verify, seed)
-    base = h.interval[0] - 1
-    return HalvingResult(
-        y=c.y,
-        delta=h.delta,
-        # primes <= threshold at the trimmed exponents the halved modulus keeps
-        small_part=FactoredInteger._trusted(
-            tuple((p, e) for p, e in h.halved_modulus.factors if p <= h.threshold)
-        ),
-        halved_modulus=h.halved_modulus,
-        a0=h.a0,
-        bad_n=h.bad_n,
-        chosen_n=h.chosen_n,
-        interval=h.interval,
-        certificates=tuple(
-            ElementCheck(j, base + j, nm, st) for j, nm, st in h.elements
-        ),
-        degenerate=h.degenerate,
-    )
+    res, elements = _gap_interval(c, delta, effort, deep_verify, seed)
+    base = res.interval[0] - 1
+    return replace(res, certificates=tuple(
+        ElementCheck(j, base + j, nm, st) for j, nm, st in elements
+    ))
 
 
 def efficiency_report(ys: list[int], delta=Fraction(1, 2)) -> list[tuple]:
@@ -295,16 +277,15 @@ def efficiency_report(ys: list[int], delta=Fraction(1, 2)) -> list[tuple]:
     rows = []
     for y in ys:
         c = richards_construction(y)
-        h = _gap_interval(c, delta)
-        for _ in h.elements:
+        res, elements = _gap_interval(c, delta)
+        for _ in elements:
             pass
-        rows.append(efficiency_row(c, h))
+        rows.append(efficiency_row(c, res))
     return rows
 
 
 def efficiency_row(c: Construction, res: HalvingResult) -> tuple:
-    """The efficiency_report row of a construction and its halving result
-    (only res.interval is read)."""
+    """The efficiency_report row of a construction and its halving result."""
     ln_plain = math.log(c.shift + c.y)
     ln_halved = math.log(res.interval[1])
     e_plain = c.y / ln_plain

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -305,18 +306,38 @@ def test_unwritable_out_exit_1(tmp_path, argv, target):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("value", ["1/0", "abc"])
+@pytest.mark.parametrize("value", ["1/0", "abc", "1e-10000000", "5E+10001", " 1_0e-1_0000_0 "])
 @pytest.mark.parametrize(
     "argv", [["halve", "--y", "10"], ["bounds", "--y-list", "10"]], ids=["halve", "bounds"]
 )
 def test_bad_delta_exit_2(capsys, argv, value):
     # argparse's own error for a value Fraction cannot parse, also for "1/0",
-    # whose ZeroDivisionError argparse would not catch
+    # whose ZeroDivisionError argparse would not catch, and at once for an
+    # exponent beyond +-10^4, on which Fraction would spend seconds to hours
+    start = time.perf_counter()
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--delta", value])
+    assert time.perf_counter() - start < 1
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.endswith(f"error: argument --delta: invalid Fraction value: '{value}'\n")
+
+
+@pytest.mark.parametrize("argv", [["halve", "--y", "10"], ["bounds", "--y-list", "10"]])
+def test_delta_exponent_at_the_guard_is_parsed(capsys, argv):
+    # exponents up to 10^4 in magnitude still reach the library's range checks
+    code, out, err = run(capsys, *argv, "--delta", "1e-10000")
+    assert (code, out) == (1, "")
+    assert err == "error: delta * y must exceed 2 so the 2-power part stays small\n"
+    code, out, err = run(capsys, *argv, "--delta", "1e10000")
+    assert (code, out, err) == (1, "", "error: delta must be in (0, 1)\n")
+
+
+@pytest.mark.parametrize("argv", [["halve", "--y", "20"], ["bounds", "--y-list", "10,20"]])
+def test_delta_spellings_give_one_document(capsys, argv):
+    outputs = {run(capsys, *argv, "--delta", value) for value in ("1/2", "0.5", "5e-1", "50E-2")}
+    assert len(outputs) == 1
+    assert next(iter(outputs))[0] == 0
 
 
 def test_pipe_round_trip(capsys, monkeypatch):

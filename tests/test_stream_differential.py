@@ -10,6 +10,7 @@ public API's objects give through the same writers.
 """
 
 import contextlib
+import dataclasses
 import io
 import math
 import random
@@ -32,7 +33,9 @@ from twosquare_gaps.construction import (
     verify_covering,
 )
 from twosquare_gaps.halving import (
+    HalvingResult,
     NoGoodIntervalError,
+    _gap_interval,
     efficiency_report,
     efficiency_row,
     find_gap_interval,
@@ -173,6 +176,10 @@ def test_halve_document_equals_public_api(y, delta, deep_verify, seed):
         assert err == f"no good interval index; bad set: {sorted(exc.bad_n)}\n"
         return
     assert (code, out) == (0, halving_result_to_json(res))
+    # the CLI's halving value is the public result without its certificates
+    head = _gap_interval(c, delta, deep_verify=deep_verify, seed=seed)[0]
+    assert isinstance(head, HalvingResult)
+    assert head == dataclasses.replace(res, certificates=())
     row = efficiency_row(c, res)
     ratio_line = f"e_plain={row[3]:.4f} e_halved={row[4]:.4f} ratio={row[5]:.4f}\n"
     assert err.endswith(ratio_line)

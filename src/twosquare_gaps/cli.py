@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +34,7 @@ from .construction import (
 from .halving import (
     NoGoodIntervalError,
     _gap_interval,
+    _to_fraction,
     efficiency_report,
     efficiency_row,
 )
@@ -147,15 +147,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _fraction(text: str) -> Fraction:
-    # argparse reports ValueError, not the ZeroDivisionError of "1/0".  An
-    # exponent beyond +-10^4 is refused before Fraction spends seconds to
-    # hours on 10**exponent: with the mantissa and --y capped at 4300
-    # digits, such a delta is outside (0, 1) or has delta*y <= 2 anyway
+    # argparse reports ValueError, not the ZeroDivisionError of "1/0"; a
+    # decimal exponent beyond +-10^4 is refused before Fraction runs
     try:
-        exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text)
-        if exponent and abs(int(exponent[1])) > 10**4:
-            raise ValueError
-        return Fraction(text)
+        return _to_fraction(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 

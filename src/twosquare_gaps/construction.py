@@ -6,10 +6,12 @@ The verifier never factors a + j.  All valuations are computed modulo the
 prime powers of P, so verification cost scales with the modulus
 description, not with the size of a.  The walk reduces a once, by
 value(P), and takes a mod each p^e from the modulus's remainder tree.
-The residue walk visits only the offsets j = -a (mod p) of each odd
-prime p, sum y/p steps over all primes, and those with
-a + j = 3 * 2^k (mod 2^(k+2)) for the prime 2, found by the two-power
-pass the membership sieve also uses.  The walk also yields each odd
+The residue walk writes its table by list slices: for the prime 2 the
+progressions a + j = 3 * 2^k (mod 2^(k+2)) of the two-power pass the
+membership sieve also uses, and for each odd prime p one slice of
+valuation 1 over the offsets j = -a (mod p), with a Python step only at
+the multiples of p^2: about sum y/p^2 steps, and one for each prime
+with at most one multiple in the window.  The walk also yields each odd
 prime's largest pinned odd valuation for the halving module.  Its
 certificates are bare, one per (p, k); the public functions pair them
 with offsets.  One generator checks the elements of every certified
@@ -142,8 +144,9 @@ def _offset_residues(
     r: int, lo: int, hi: int, p: int, pe: int
 ) -> Iterator[tuple[int, int]]:
     """(j, (r + j) mod pe) for each offset lo <= j <= hi with p | r + j,
-    ascending; pe is a power of the prime p and r a shift's residue mod pe,
-    which the caller takes from a remainder tree.
+    ascending; pe is a power of the prime p and r a residue mod pe, which
+    the caller takes from a remainder tree.  The halving's bad-set screen
+    walks each large prime of the halved modulus by it.
 
     Those offsets are the progression j = -r (mod p), so the walk takes
     (hi - lo)/p steps, each on r + j rather than on the shift itself.
@@ -156,46 +159,70 @@ def _covering_walk(
 ) -> tuple[list[OddValuation | TwoPowerForm | None], dict[int, int], int | None]:
     """Certificate of each offset lo..hi (at index j - lo), None where no
     condition matches, each odd prime's largest pinned odd valuation on
-    lo..hi (0 if none), from one residue walk per modulus prime, and the
-    least offset left uncovered (None if there is none).
+    lo..hi (0 if none), and the least offset left uncovered (None if
+    there is none).
 
-    Odd primes are walked in ascending order and an offset keeps the first
-    odd valuation the modulus pins (shift + j not 0 mod p^e).  Then 2^e
-    gives the offsets still open with shift + j = 3 * 2^k (mod 2^(k+2))
-    the two-power form k, k + 2 <= e, through the sieve's two-power pass:
-    one progression per k while its stride is shorter than the window,
+    An offset keeps the first odd valuation the modulus pins (shift + j
+    not 0 mod p^e), odd primes in ascending order, and else the two-power
+    form k, k + 2 <= e, of shift + j = 3 * 2^k (mod 2^(k+2)).  The table
+    is written in the reverse order, each writer over the ones before it,
+    by list slices.  First 2^e, one slice per progression of the sieve's
+    two-power pass: one per k while its stride is shorter than the window,
     then each multiple of 2^k left decided alone by its residue mod 2^e,
-    so 2^e takes about log2 of the window's width in steps, whatever e.
-    Each prime builds one certificate per k it pins and shares it between
-    offsets.  The shift is reduced once, by value(P); the modulus's
-    remainder tree gives its residue mod each p^e.  Callers pass a
-    validated modulus or one prime power of one, so no prime is re-checked.
+    about log2 of the window's width in steps whatever e; the progressions
+    are disjoint, as each offset has one 2-adic valuation.  Then the odd
+    primes, largest first.  Of two multiples of p one has v_p = 1, so one
+    slice writes (p, 1) over every multiple of p in the window, and only
+    the multiples of p^2 take a Python step each, to write their own odd
+    valuation or put back the entry the slice covered.  A prime with at
+    most one multiple in the window takes one step, and a prime at
+    exponent 1 pins nothing.  Each prime builds one certificate per k it
+    pins and shares it between offsets.  The shift is reduced once, by
+    value(P); the modulus's remainder tree gives its residue mod each p^e.
+    Callers pass a validated modulus or one prime power of one, so no
+    prime is re-checked.
     """
-    table: list[OddValuation | TwoPowerForm | None] = [None] * (hi - lo + 1)
-    pinned: dict[int, int] = {}
-    e2 = r2 = 0
+    n = hi - lo + 1
+    table: list[OddValuation | TwoPowerForm | None] = [None] * n
     tree = modulus._tree
-    for (p, e), pe, r0 in zip(modulus.factors, tree[0], _remainders(shift, tree)):
-        if p == 2:
-            e2, r2 = e, r0
+    powers = list(zip(modulus.factors, tree[0], _remainders(shift, tree)))
+    if powers and powers[0][0][0] == 2:
+        (_, e2), _, r2 = powers.pop(0)
+        # the two-power pass reads shift + lo only mod 2^e
+        for first, step, k in _two_power_hits(r2 + lo, n, 0, e2):
+            table[first::step] = [TwoPowerForm(k)] * len(range(first, n, step))
+    # keys in factor order, values set largest prime first
+    pinned = dict.fromkeys((p for (p, _), _, _ in powers), 0)
+    for (p, e), pe, r0 in reversed(powers):
+        # index of the first multiple of p; at e = 1, p^e divides shift + j
+        # there, so the modulus pins nothing
+        i = -(r0 + lo) % p
+        if e == 1 or i >= n:
             continue
-        certs, pp = {}, p * p
-        for j, r in _offset_residues(r0, lo, hi, p, pe):
-            # k = 0 where p^e divides shift + j: the modulus pins nothing
+        pp = p * p
+        if i + p >= n:
+            r = (r0 + lo + i) % pe
             k = 1 if r % pp else valuation(r, p) if r else 0
+            if k & 1:
+                table[i] = OddValuation._trusted(p, k)
+                pinned[p] = k
+            continue
+        certs = {1: OddValuation._trusted(p, 1)}
+        at_pp = range(-(r0 + lo) % pp, n, pp)
+        kept = table[at_pp.start::pp]
+        table[i::p] = [certs[1]] * len(range(i, n, p))
+        for i2, old in zip(at_pp, kept):
+            # k = 0 where p^e divides shift + j
+            r = (r0 + lo + i2) % pe
+            k = valuation(r, p) if r else 0
             if k & 1:
                 cert = certs.get(k)
                 if cert is None:
                     cert = certs[k] = OddValuation._trusted(p, k)
-                if table[j - lo] is None:
-                    table[j - lo] = cert
-        pinned[p] = max(certs, default=0)
-    # the two-power pass reads shift + lo only mod 2^e
-    for first, step, k in _two_power_hits(r2 + lo, len(table), 0, e2):
-        cert = TwoPowerForm(k)
-        for i in range(first, len(table), step):
-            if table[i] is None:
-                table[i] = cert
+                table[i2] = cert
+            else:
+                table[i2] = old
+        pinned[p] = max(certs)
     # by identity: None in table would call each certificate's __eq__
     hole = next((lo + i for i, cert in enumerate(table) if cert is None), None)
     return table, pinned, hole

@@ -37,6 +37,7 @@ construction module writes the halving document beside its own.
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -118,12 +119,25 @@ def halved_modulus(c: Construction, delta) -> FactoredInteger:
     return _halved(c, _covering_walk(c.modulus, c.shift, 1, c.y)[1], delta)[2]
 
 
+def _to_fraction(value) -> Fraction:
+    # Fraction(value), but a string whose decimal exponent exceeds +-10^4 is
+    # refused first: Fraction would spend seconds to hours on 10**exponent,
+    # and with the mantissa within CPython's default int<->str limit of
+    # 4300 digits such a value is outside (0, 1), or needs a y of over
+    # 5700 digits to make delta*y exceed 2
+    if isinstance(value, str):
+        exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", value)
+        if exponent and abs(int(exponent[1])) > 10**4:
+            raise ValueError("delta has a decimal exponent beyond +-10^4")
+    return Fraction(value)
+
+
 def _halved(
     c: Construction, pinned: dict[int, int], delta
 ) -> tuple[Fraction, int, FactoredInteger, int]:
     # the halving plan from the covering walk's pinned valuations: checked
     # delta, threshold floor(delta*y), halved modulus and reduced shift a0
-    delta = Fraction(delta)
+    delta = _to_fraction(delta)
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     if delta * c.y <= 2:

@@ -427,19 +427,19 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
     target = tmp_path / "halve.json"
     code, _, _ = run(capsys, "halve", "--y", "50", "--out", str(target))
     assert code == 0
-    # one residue pass per odd modulus prime in the covering walk, then one
-    # per large prime of the halved modulus (above delta * y = 25) in the
-    # bad-set screen; their starting residues come from one remainder tree
-    # descent of the shift, then one each of a0 and value(halved).  One
+    # one covering walk, which writes its table by slices, then one residue
+    # pass per large prime of the halved modulus (above delta * y = 25) in
+    # the bad-set screen; their starting residues come from one remainder
+    # tree descent of the shift, then one each of a0 and value(halved).  One
     # element stream checks every element, and none is small enough for
     # the oracle: the interval starts above 10^18
     doc = json.loads(target.read_text())
     large = sum(p > 25 for p, _ in doc["halved_modulus"])
-    passes = len(richards_modulus(50).factors) + large
+    assert 0 < large < len(richards_modulus(50).factors)
     assert int(doc["interval"][0]) > 10**18
     assert calls == {
         "_covering_walk": 1,
-        "_offset_residues": passes,
+        "_offset_residues": large,
         "_remainders": 3,
         "_element_checks": 1,
         "_exceptional_pairs": 1,

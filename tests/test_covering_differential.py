@@ -1,28 +1,39 @@
-"""Differential test: the per-prime residue walk against per-offset scans.
+"""Differential test: the per-prime covering walk against the walks and
+per-offset scans it replaced.
 
-One covering walk visits each modulus prime's offsets j = -shift (mod p)
-once and yields both verify_covering's certificates and the largest
+One covering walk writes each modulus prime's certificates by list
+slices and yields both verify_covering's certificates and the largest
 pinned odd valuations halved_modulus reads; exceptional_pairs walks the
-halved modulus's large primes the same way.  The reference functions below
-are the per-offset and per-prime scans they replaced, kept here as
-test-only reference code: the covering tries every prime for every
-offset in ascending order, and the halving references are the stride
-scans of each prime on its own, with the exceptional pairs' quotients
-and cofactors taken from the full integers.  The element checks of
+halved modulus's large primes by their offsets j = -shift (mod p).  The
+reference functions below are the code these replaced, kept here as
+test-only reference code: reference_walk is the covering walk that took
+one step per offset j = -shift (mod p) of every odd prime, in ascending
+order, and filled the offsets still open from the two-power pass last;
+the covering reference tries every prime for every offset in ascending
+order, and the halving references are the stride scans of each prime on
+its own, with the exceptional pairs' quotients and cofactors taken from
+the full integers.  The element checks of
 interval_check and find_gap_interval are one generator; the reference
 keeps the two loops each of them ran on its own, with their oracle
 budgets (value(P) per construction, the element itself in halving).
 """
 
 import math
+import sys
 import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twosquare_gaps.arith import FactoredInteger, mod_inverse, sieve_primes, valuation
+from twosquare_gaps.arith import (
+    FactoredInteger,
+    _remainders,
+    mod_inverse,
+    sieve_primes,
+    valuation,
+)
 from twosquare_gaps.construction import (
     ORACLE_VALUE_LIMIT,
     Construction,
@@ -30,6 +41,7 @@ from twosquare_gaps.construction import (
     CoveringReport,
     ElementCheck,
     _covering_walk,
+    _offset_residues,
     covering_certificate,
     interval_check,
     richards_construction,
@@ -42,9 +54,67 @@ from twosquare_gaps.halving import (
     halved_modulus,
     has_odd_cover,
 )
-from twosquare_gaps.oracle import Member, NonMember, OddValuation, TwoPowerForm, classify
+from twosquare_gaps.oracle import (
+    Member,
+    NonMember,
+    OddValuation,
+    TwoPowerForm,
+    _two_power_hits,
+    classify,
+)
 
 DELTAS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+
+
+def reference_walk(modulus: FactoredInteger, shift: int, lo: int, hi: int):
+    # one step per offset j = -shift (mod p) of each odd prime, ascending,
+    # an offset keeping the first odd valuation; then the two-power pass
+    # fills the offsets still open
+    table = [None] * (hi - lo + 1)
+    pinned = {}
+    e2 = r2 = 0
+    tree = modulus._tree
+    for (p, e), pe, r0 in zip(modulus.factors, tree[0], _remainders(shift, tree)):
+        if p == 2:
+            e2, r2 = e, r0
+            continue
+        certs, pp = {}, p * p
+        for j, r in _offset_residues(r0, lo, hi, p, pe):
+            # k = 0 where p^e divides shift + j: the modulus pins nothing
+            k = 1 if r % pp else valuation(r, p) if r else 0
+            if k & 1:
+                cert = certs.get(k)
+                if cert is None:
+                    cert = certs[k] = OddValuation._trusted(p, k)
+                if table[j - lo] is None:
+                    table[j - lo] = cert
+        pinned[p] = max(certs, default=0)
+    for first, step, k in _two_power_hits(r2 + lo, len(table), 0, e2):
+        cert = TwoPowerForm(k)
+        for i in range(first, len(table), step):
+            if table[i] is None:
+                table[i] = cert
+    hole = next((lo + i for i, cert in enumerate(table) if cert is None), None)
+    return table, pinned, hole
+
+
+def walk_entries(table: list) -> list:
+    # each entry as (type, fields, index of its object's first entry), so
+    # that equal lists share certificates between the same offsets
+    first = {}
+    return [
+        None if nm is None
+        else (type(nm), tuple(vars(nm).items()), first.setdefault(id(nm), i))
+        for i, nm in enumerate(table)
+    ]
+
+
+def assert_same_walk(modulus: FactoredInteger, shift: int, lo: int, hi: int) -> None:
+    table, pinned, hole = _covering_walk(modulus, shift, lo, hi)
+    want_table, want_pinned, want_hole = reference_walk(modulus, shift, lo, hi)
+    assert walk_entries(table) == walk_entries(want_table)
+    assert list(pinned.items()) == list(want_pinned.items())
+    assert hole == want_hole
 
 
 def reference_certificate(c: Construction, offset: int) -> CoveringCertificate | None:
@@ -180,6 +250,55 @@ def assert_same_pinned(c: Construction) -> None:
     assert pinned == {p: reference_max_odd_valuation(c, p) for p in odd}
 
 
+def walk_line_events(walk, *args) -> int:
+    # line events of walk(*args) and of every call it makes
+    events = 0
+
+    def tracer(frame, event, arg):
+        nonlocal events
+        events += event == "line"
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        walk(*args)
+    finally:
+        sys.settrace(None)
+    return events
+
+
+class TestWalk:
+    def test_richards_up_to_500(self, richards_sweep):
+        for c in richards_sweep:
+            assert_same_walk(c.modulus, c.shift, 1, c.y)
+
+    @pytest.mark.parametrize("y", [2300, 2700, 2850])
+    def test_richards_large(self, y):
+        c = richards_construction(y)
+        assert_same_walk(c.modulus, c.shift, 1, y)
+
+    def test_single_offsets(self, richards_sweep):
+        # covering_certificate's one-offset windows
+        c = richards_sweep[-1]
+        for j in range(1, c.y + 1, 7):
+            assert_same_walk(c.modulus, c.shift, j, j)
+
+    def test_empty_modulus(self):
+        empty = FactoredInteger(())
+        for lo, hi in ((1, 1), (1, 9), (4, 30)):
+            assert_same_walk(empty, 1, lo, hi)
+        assert _covering_walk(empty, 1, 4, 30) == ([None] * 27, {}, 4)
+
+    def test_python_steps(self):
+        # the reference walk steps through every multiple of each odd prime
+        # and reads 40,499 line events here (Python 3.11); the slice walk
+        # steps only through the multiples of p^2 and reads about 23,000
+        c = richards_construction(2300)
+        args = (c.modulus, c.shift, 1, c.y)
+        assert walk_line_events(_covering_walk, *args) < 30000
+        assert walk_line_events(reference_walk, *args) > 30000
+
+
 class TestCovering:
     def test_richards_up_to_300(self, richards_sweep):
         for c in richards_sweep[:300]:
@@ -266,6 +385,44 @@ def small_constructions(draw):
         t = ((u << v) - j0 - shift) * mod_inverse(odd, pe) % pe
         shift = (shift + odd * t) % value or value
     return Construction(y=y, modulus=modulus, shift=shift)
+
+
+@st.composite
+def walk_windows(draw):
+    # a modulus with 2^e (e <= 12) and odd primes at exponents 1 to 6 or
+    # 10^5, a shift in [1, value] and a window lo..hi; optionally the shift
+    # is moved mod one p^e so that shift + j0 = p^v * u, p not dividing u,
+    # at one offset j0 of the window, with v up to e (0 mod p^e)
+    factors = {}
+    e2 = draw(st.integers(0, 12))
+    if e2:
+        factors[2] = e2
+    for p in draw(st.lists(st.sampled_from(ODD_PRIMES_3_MOD_4), max_size=5, unique=True)):
+        factors[p] = draw(st.sampled_from([1, 1, 2, 2, 3, 4, 5, 6, 10**5]))
+    modulus = FactoredInteger(tuple(sorted(factors.items())))
+    value = modulus.value()
+    shift = draw(st.integers(1, value))
+    lo = draw(st.integers(1, 80))
+    hi = lo + draw(st.integers(0, 150))
+    if factors and draw(st.booleans()):
+        p = draw(st.sampled_from(sorted(factors)))
+        e = factors[p]
+        pe = p**e
+        j0 = draw(st.integers(lo, hi))
+        v = draw(st.integers(max(0, e - 8), e))
+        u = draw(st.integers(1, p - 1))
+        t = (p**v * u - j0 - shift) * mod_inverse(value // pe, pe) % pe
+        shift = (shift + value // pe * t) % value or value
+    return modulus, shift, lo, hi
+
+
+@settings(max_examples=300, deadline=None)
+@given(walk_windows())
+@example((FactoredInteger(()), 1, 1, 1))
+@example((FactoredInteger(((3, 10**5),)), 3**99998 - 1, 1, 5))
+@example((FactoredInteger(((2, 12), (3, 1), (7, 1))), 5, 3, 3))
+def test_walk_windows(window):
+    assert_same_walk(*window)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -69,21 +70,22 @@ class TestHasOddCover:
         assert not has_odd_cover(c, 3)
 
     def test_walks_only_p(self, monkeypatch):
-        import twosquare_gaps.construction as construction_mod
+        # one covering walk of the modulus p^e alone
+        import twosquare_gaps.halving as halving_mod
 
-        passes = []
-        walk = construction_mod._offset_residues
+        walked = []
+        walk = halving_mod._covering_walk
 
-        def counted(r, lo, hi, p, pe):
-            passes.append(p)
-            return walk(r, lo, hi, p, pe)
+        def counted(modulus, shift, lo, hi):
+            walked.append(modulus.factors)
+            return walk(modulus, shift, lo, hi)
 
-        monkeypatch.setattr(construction_mod, "_offset_residues", counted)
+        monkeypatch.setattr(halving_mod, "_covering_walk", counted)
         c = richards_construction(50)
-        for p, _ in c.modulus.factors:
-            passes.clear()
+        for p, e in c.modulus.factors:
+            walked.clear()
             has_odd_cover(c, p)
-            assert passes == [p]
+            assert walked == [((p, e),)]
 
     def test_input_validation(self, richards10):
         with pytest.raises(ValueError):
@@ -104,6 +106,24 @@ class TestHalvedModulus:
                 halved_modulus(richards10, bad)
         with pytest.raises(ValueError):
             halved_modulus(richards10, Fraction(1, 5))  # delta * y = 2
+
+    @pytest.mark.parametrize(
+        "entry", [find_gap_interval, exceptional_pairs, enumerate_bad_n, halved_modulus]
+    )
+    def test_delta_exponent_guard(self, richards10, entry):
+        # Fraction("1e-1000000") alone takes about 0.3 s; the exponent is
+        # refused before it runs
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="decimal exponent beyond"):
+            entry(richards10, "1e-1000000")
+        assert time.perf_counter() - start < 0.05
+        with pytest.raises(ValueError, match="decimal exponent beyond"):
+            entry(richards10, "5E+10001")
+        # an exponent of 10^4 still reaches the range checks
+        with pytest.raises(ValueError, match=r"delta \* y must exceed 2"):
+            entry(richards10, "1e-10000")
+        with pytest.raises(ValueError, match=r"delta must be in \(0, 1\)"):
+            entry(richards10, "1e10000")
 
     def test_large_exponents_are_one(self, richards20):
         # 4 * (shift + j) = 4j - 1 (mod P), and every 4j - 1 <= 79 is below

@@ -140,20 +140,6 @@ def richards_construction(y: int) -> Construction:
     return Construction(y=y, modulus=modulus, shift=richards_shift(modulus))
 
 
-def _offset_residues(
-    r: int, lo: int, hi: int, p: int, pe: int
-) -> Iterator[tuple[int, int]]:
-    """(j, (r + j) mod pe) for each offset lo <= j <= hi with p | r + j,
-    ascending; pe is a power of the prime p and r a residue mod pe, which
-    the caller takes from a remainder tree.  The halving's bad-set screen
-    walks each large prime of the halved modulus by it.
-
-    Those offsets are the progression j = -r (mod p), so the walk takes
-    (hi - lo)/p steps, each on r + j rather than on the shift itself.
-    """
-    return ((j, (r + j) % pe) for j in range(lo + (-(r + lo)) % p, hi + 1, p))
-
-
 def _covering_walk(
     modulus: FactoredInteger, shift: int, lo: int, hi: int
 ) -> tuple[list[OddValuation | TwoPowerForm | None], dict[int, int], int | None]:
@@ -194,26 +180,27 @@ def _covering_walk(
     # keys in factor order, values set largest prime first
     pinned = dict.fromkeys((p for (p, _), _, _ in powers), 0)
     for (p, e), pe, r0 in reversed(powers):
-        # index of the first multiple of p; at e = 1, p^e divides shift + j
-        # there, so the modulus pins nothing
-        i = -(r0 + lo) % p
+        # x + i = shift + lo + i (mod p^e); i is the index of the first
+        # multiple of p, where at e = 1 the modulus pins nothing
+        x = r0 + lo
+        i = -x % p
         if e == 1 or i >= n:
             continue
         pp = p * p
         if i + p >= n:
-            r = (r0 + lo + i) % pe
+            r = (x + i) % pe
             k = 1 if r % pp else valuation(r, p) if r else 0
             if k & 1:
                 table[i] = OddValuation._trusted(p, k)
                 pinned[p] = k
             continue
         certs = {1: OddValuation._trusted(p, 1)}
-        at_pp = range(-(r0 + lo) % pp, n, pp)
+        at_pp = range(-x % pp, n, pp)
         kept = table[at_pp.start::pp]
         table[i::p] = [certs[1]] * len(range(i, n, p))
         for i2, old in zip(at_pp, kept):
             # k = 0 where p^e divides shift + j
-            r = (r0 + lo + i2) % pe
+            r = (x + i2) % pe
             k = valuation(r, p) if r else 0
             if k & 1:
                 cert = certs.get(k)

@@ -18,11 +18,12 @@ oracle when the element itself is at most 10^18 (a per-element budget).
 
 find_gap_interval runs the construction module's covering walk once and
 takes the certificates and each prime's largest pinned odd valuation
-from it; the screen walks the halved modulus's large primes the same
-way (offsets j = -shift mod p only), with a0 and value(halved) mod each
-p^2 from one remainder tree over the p^2.  One private helper derives
-the plan (checked delta, cutoff, halved modulus, reduced shift) for
-every entry point.  One private builder returns the HalvingResult with
+from it; the screen steps through each large prime of the halved
+modulus at its offsets j = -a0 (mod p) only, with a0 and value(halved)
+mod each p^2 from one remainder tree over the p^2.  One private helper
+derives the plan (checked delta, cutoff, halved modulus, reduced shift)
+for every entry point, and reads delta through the parser the CLI's
+--delta also uses.  One private builder returns the HalvingResult with
 no certificates and its lazy element stream, which every consumer reads
 once: the CLI's halve writes each row as its element passes,
 efficiency_report keeps only the interval's top, and find_gap_interval
@@ -57,7 +58,6 @@ from .construction import (
     _covered_walk,
     _covering_walk,
     _element_checks,
-    _offset_residues,
     halving_result_to_json,
     richards_construction,
 )
@@ -162,6 +162,20 @@ def reduced_shift(c: Construction, halved: FactoredInteger) -> int:
             raise ValueError("halved modulus must divide the construction modulus")
     v = halved.value()
     return c.shift % v or v
+
+
+def _offset_residues(
+    r: int, lo: int, hi: int, p: int, pe: int
+) -> Iterator[tuple[int, int]]:
+    """(j, (r + j) mod pe) for each offset lo <= j <= hi with p | r + j,
+    ascending; pe is a power of the prime p and r a residue mod pe, which
+    the caller takes from a remainder tree.
+
+    Those offsets are the progression j = -r (mod p), so the bad-set
+    screen takes (hi - lo)/p steps per large prime, each on r + j rather
+    than on a0 itself.
+    """
+    return ((j, (r + j) % pe) for j in range(lo + (-(r + lo)) % p, hi + 1, p))
 
 
 def _exceptional_pairs(

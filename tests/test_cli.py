@@ -418,9 +418,9 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
     # the same names in both modules count together
     for module in (construction, halving):
         counted(module, "_covering_walk")
-        counted(module, "_offset_residues")
         counted(module, "_remainders")
         counted(module, "_element_checks")
+    counted(halving, "_offset_residues")
     counted(halving, "_exceptional_pairs")
     counted(cli, "_gap_interval")
     counted(construction, "classify")

@@ -157,12 +157,12 @@ def _covering_walk(
     then each multiple of 2^k left decided alone by its residue mod 2^e,
     about log2 of the window's width in steps whatever e; the progressions
     are disjoint, as each offset has one 2-adic valuation.  Then the odd
-    primes, largest first.  Of two multiples of p one has v_p = 1, so one
-    slice writes (p, 1) over every multiple of p in the window, and only
-    the multiples of p^2 take a Python step each, to write their own odd
-    valuation or put back the entry the slice covered.  A prime with at
-    most one multiple in the window takes one step, and a prime at
-    exponent 1 pins nothing.  Each prime builds one certificate per k it
+    primes, largest first.  Of two consecutive multiples of p one has
+    v_p = 1, so one slice writes (p, 1) over every multiple of p in the
+    window, and only the multiples of p^2 take a Python step each, to
+    write their own odd valuation or put back the entry the slice
+    covered.  A prime with at most one multiple in the window takes one
+    step, and a prime at exponent 1 pins nothing.  Each prime builds one certificate per k it
     pins and shares it between offsets.  The shift is reduced once, by
     value(P); the modulus's remainder tree gives its residue mod each p^e.
     Callers pass a validated modulus or one prime power of one, so no

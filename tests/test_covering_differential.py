@@ -389,16 +389,20 @@ def small_constructions(draw):
 
 @st.composite
 def walk_windows(draw):
-    # a modulus with 2^e (e <= 12) and odd primes at exponents 1 to 6 or
-    # 10^5, a shift in [1, value] and a window lo..hi; optionally the shift
-    # is moved mod one p^e so that shift + j0 = p^v * u, p not dividing u,
-    # at one offset j0 of the window, with v up to e (0 mod p^e)
+    # a modulus with 2^e (e <= 12), odd primes at exponents 1 to 6 and
+    # perhaps 3 or 7 at 10^5, a shift in [1, value] and a window lo..hi;
+    # optionally the shift is moved mod one p^e so that shift + j0 = p^v * u,
+    # p not dividing u, at one offset j0 of the window, with v up to e
+    # (0 mod p^e)
     factors = {}
     e2 = draw(st.integers(0, 12))
     if e2:
         factors[2] = e2
     for p in draw(st.lists(st.sampled_from(ODD_PRIMES_3_MOD_4), max_size=5, unique=True)):
-        factors[p] = draw(st.sampled_from([1, 1, 2, 2, 3, 4, 5, 6, 10**5]))
+        factors[p] = draw(st.sampled_from([1, 1, 2, 2, 3, 4, 5, 6]))
+    huge = draw(st.sampled_from([None, None, None, 3, 7]))
+    if huge:
+        factors[huge] = 10**5
     modulus = FactoredInteger(tuple(sorted(factors.items())))
     value = modulus.value()
     shift = draw(st.integers(1, value))
@@ -421,6 +425,8 @@ def walk_windows(draw):
 @example((FactoredInteger(()), 1, 1, 1))
 @example((FactoredInteger(((3, 10**5),)), 3**99998 - 1, 1, 5))
 @example((FactoredInteger(((2, 12), (3, 1), (7, 1))), 5, 3, 3))
+# one multiple of 3, shift + 1 = 9, and the next one just past the window
+@example((FactoredInteger(((3, 2),)), 8, 1, 3))
 def test_walk_windows(window):
     assert_same_walk(*window)
 

@@ -162,11 +162,11 @@ def _covering_walk(
     window, and only the multiples of p^2 take a Python step each, to
     write their own odd valuation or put back the entry the slice
     covered.  A prime with at most one multiple in the window takes one
-    step, and a prime at exponent 1 pins nothing.  Each prime builds one certificate per k it
-    pins and shares it between offsets.  The shift is reduced once, by
-    value(P); the modulus's remainder tree gives its residue mod each p^e.
-    Callers pass a validated modulus or one prime power of one, so no
-    prime is re-checked.
+    step, and a prime at exponent 1 pins nothing.  Each prime builds one
+    certificate per k it pins and shares it between offsets.  The shift is
+    reduced once, by value(P); the modulus's remainder tree gives its
+    residue mod each p^e.  Callers pass a validated modulus or one prime
+    power of one, so no prime is re-checked.
     """
     n = hi - lo + 1
     table: list[OddValuation | TwoPowerForm | None] = [None] * n

@@ -150,7 +150,7 @@ def _fraction(text: str) -> Fraction:
     # argparse reports ValueError, not the ZeroDivisionError of "1/0"; a
     # decimal exponent beyond +-10^4 is refused before Fraction runs
     try:
-        return _to_fraction(text)
+        return _to_fraction(text, "delta")
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
 

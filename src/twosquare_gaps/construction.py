@@ -407,6 +407,14 @@ def _verify_report(c: Construction) -> tuple[str, int | None]:
     return "\n".join(lines + [end]) + "\n", hole
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of a repeated key; a document says one thing
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("document repeats a key")
+    return obj
+
+
 def construction_from_json(text: str) -> Construction:
     """Parse and fully validate a construction document.
 
@@ -415,7 +423,7 @@ def construction_from_json(text: str) -> Construction:
     map to distinct CLI exit codes.
     """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
     except RecursionError:
         raise ValueError("document nested too deeply") from None
     if not isinstance(obj, dict) or set(obj) != {"y", "factors", "a"}:

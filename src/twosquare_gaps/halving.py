@@ -119,17 +119,25 @@ def halved_modulus(c: Construction, delta) -> FactoredInteger:
     return _halved(c, _covering_walk(c.modulus, c.shift, 1, c.y)[1], delta)[2]
 
 
-def _to_fraction(value) -> Fraction:
+def _to_fraction(value, name: str) -> Fraction:
     # Fraction(value), but a string whose decimal exponent exceeds +-10^4 is
     # refused first: Fraction would spend seconds to hours on 10**exponent,
     # and with the mantissa within CPython's default int<->str limit of
     # 4300 digits such a value is outside (0, 1), or needs a y of over
-    # 5700 digits to make delta*y exceed 2
+    # 5700 digits to make value*y exceed 1
     if isinstance(value, str):
         exponent = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", value)
         if exponent and abs(int(exponent[1])) > 10**4:
-            raise ValueError("delta has a decimal exponent beyond +-10^4")
+            raise ValueError(f"{name} has a decimal exponent beyond +-10^4")
     return Fraction(value)
+
+
+def _cutoff(value, y: int, name: str) -> tuple[Fraction, int]:
+    # the checked value in (0, 1) and the prime cutoff floor(value * y)
+    value = _to_fraction(value, name)
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1)")
+    return value, math.floor(value * y)
 
 
 def _halved(
@@ -137,12 +145,9 @@ def _halved(
 ) -> tuple[Fraction, int, FactoredInteger, int]:
     # the halving plan from the covering walk's pinned valuations: checked
     # delta, threshold floor(delta*y), halved modulus and reduced shift a0
-    delta = _to_fraction(delta)
-    if not 0 < delta < 1:
-        raise ValueError("delta must be in (0, 1)")
+    delta, threshold = _cutoff(delta, c.y, "delta")
     if delta * c.y <= 2:
         raise ValueError("delta * y must exceed 2 so the 2-power part stays small")
-    threshold = math.floor(delta * c.y)
     factors = []
     for p, e in c.modulus.factors:
         if p == 2:
@@ -164,20 +169,6 @@ def reduced_shift(c: Construction, halved: FactoredInteger) -> int:
     return c.shift % v or v
 
 
-def _offset_residues(
-    r: int, lo: int, hi: int, p: int, pe: int
-) -> Iterator[tuple[int, int]]:
-    """(j, (r + j) mod pe) for each offset lo <= j <= hi with p | r + j,
-    ascending; pe is a power of the prime p and r a residue mod pe, which
-    the caller takes from a remainder tree.
-
-    Those offsets are the progression j = -r (mod p), so the bad-set
-    screen takes (hi - lo)/p steps per large prime, each on r + j rather
-    than on a0 itself.
-    """
-    return ((j, (r + j) % pe) for j in range(lo + (-(r + lo)) % p, hi + 1, p))
-
-
 def _exceptional_pairs(
     y: int, halved: FactoredInteger, a0: int, threshold: int
 ) -> list[tuple[int, int, int | None]]:
@@ -197,8 +188,9 @@ def _exceptional_pairs(
     for p, pp, ra, rv in zip(large, tree[0], a0_res, v_res):
         # (value/p) mod p and ((a0 + j)/p) mod p, read off residues mod p^2
         cofactor_inv = mod_inverse(rv // p, p)
-        for j, r in _offset_residues(ra, 1, y, p, pp):
-            n = (-(r // p) * cofactor_inv) % p
+        # the offsets 1 <= j <= y with p | a0 + j, as a progression
+        for j in range(1 + (-(ra + 1)) % p, y + 1, p):
+            n = -((ra + j) % pp // p) * cofactor_inv % p
             pairs.append((j, p, n if n <= threshold else None))
     return pairs
 
@@ -327,10 +319,7 @@ def small_prime_contribution(c: Construction, eps, check_bound: bool = True) -> 
     With check_bound (meant for moduli built by richards_construction) the
     analytic cap ln(small part) <= 2 pi(eps*y) ln(16 y) is asserted.
     """
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    threshold = math.floor(eps * c.y)
+    _, threshold = _cutoff(eps, c.y, "eps")
     part = small_part(c, threshold)
     num = part.log()
     den = c.modulus.log()

@@ -1,7 +1,10 @@
 import decimal
+import inspect
 import math
 import random
+import re
 import signal
+import sys
 from contextlib import contextmanager
 
 import numpy as np
@@ -433,6 +436,43 @@ class TestBrentRhoBudget:
         ):
             assert classify(n, effort=63) == Unknown(n)
 
+    @pytest.mark.parametrize(
+        "n, effort",
+        [
+            (1000033 * 3000029, 50),
+            (1000033 * 3000029, 63),
+            (1000033 * 3000029, 1000),
+            (1000000007 * 998244353, 20000),
+        ],
+    )
+    def test_squarings_within_stated_bound(self, n, effort):
+        # every squaring mod n, counted as line events on the three squaring
+        # lines; these read 113, 126, 2023 and 52,222, more than effort
+        # itself, which leaves out the squarings that advance y
+        lines, first = inspect.getsourcelines(_brent_rho)
+        squaring = {
+            first + i
+            for i, line in enumerate(lines)
+            if re.search(r"\b(\w+) = \(\1 \* \1 \+ c\) % n$", line.strip())
+        }
+        assert len(squaring) == 3
+        count = 0
+
+        def local(frame, event, arg):
+            nonlocal count
+            count += event == "line" and frame.f_lineno in squaring
+            return local
+
+        def tracer(frame, event, arg):
+            return local if frame.f_code is _brent_rho.__code__ else None
+
+        sys.settrace(tracer)
+        try:
+            _brent_rho(n, effort, 0)
+        finally:
+            sys.settrace(None)
+        assert effort < count <= 3 * effort + 128
+
 
 class TestDecimalText:
     @settings(max_examples=200)
@@ -464,6 +504,7 @@ class TestFactoredInteger:
         assert f.value() == 81 * 49
         assert f.exponent(3) == 4
         assert f.exponent(5) == 0
+        assert f.exponent(11) == 0  # above every prime of f
         assert f.primes == (3, 7)
         assert f.log() == pytest.approx(math.log(81 * 49))
 

@@ -420,26 +420,27 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
         counted(module, "_covering_walk")
         counted(module, "_remainders")
         counted(module, "_element_checks")
-    counted(halving, "_offset_residues")
+    counted(halving, "mod_inverse")
     counted(halving, "_exceptional_pairs")
     counted(cli, "_gap_interval")
     counted(construction, "classify")
     target = tmp_path / "halve.json"
     code, _, _ = run(capsys, "halve", "--y", "50", "--out", str(target))
     assert code == 0
-    # one covering walk, which writes its table by slices, then one residue
-    # pass per large prime of the halved modulus (above delta * y = 25) in
-    # the bad-set screen; their starting residues come from one remainder
-    # tree descent of the shift, then one each of a0 and value(halved).  One
-    # element stream checks every element, and none is small enough for
-    # the oracle: the interval starts above 10^18
+    # one covering walk, which writes its table by slices, then one inverse
+    # and one residue pass per large prime of the halved modulus (above
+    # delta * y = 25) in the bad-set screen.  Residues come from three
+    # remainder tree descents: the shift for the walk, then a0 and
+    # value(halved) for the screen.  One element stream checks every
+    # element, and none is small enough for the oracle: the interval
+    # starts above 10^18
     doc = json.loads(target.read_text())
     large = sum(p > 25 for p, _ in doc["halved_modulus"])
     assert 0 < large < len(richards_modulus(50).factors)
     assert int(doc["interval"][0]) > 10**18
     assert calls == {
         "_covering_walk": 1,
-        "_offset_residues": large,
+        "mod_inverse": large,
         "_remainders": 3,
         "_element_checks": 1,
         "_exceptional_pairs": 1,

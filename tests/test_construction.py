@@ -85,6 +85,10 @@ class TestConstructionType:
             Construction(y=1, modulus=m, shift=10)
         Construction(y=1, modulus=m, shift=9)  # boundary a = P is fine
 
+    def test_y_at_least_one(self):
+        with pytest.raises(ValueError, match="y must be >= 1"):
+            Construction(y=0, modulus=FactoredInteger(((3, 2),)), shift=1)
+
 
 class TestCoveringCertificate:
     def test_richards10_offsets(self, richards10):

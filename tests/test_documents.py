@@ -156,6 +156,27 @@ class TestDeepNesting:
         assert "Traceback" not in proc.stderr
 
 
+class TestRepeatedKeys:
+    # the JSON parser alone keeps the last value: this read as a = 2, which
+    # leaves offset 1 uncovered
+    TEXT = '{"y": 3, "factors": [[3, 1]], "a": "1", "a": "2"}\n'
+
+    def test_reader_raises_value_error(self):
+        with pytest.raises(ValueError, match="repeats a key"):
+            construction_from_json(self.TEXT)
+        with pytest.raises(ValueError, match="repeats a key"):
+            construction_from_json('{"y": 1, "y": 1, "factors": [[3, 2]], "a": "2"}')
+
+    def test_verify_exits_3(self, capsys, tmp_path):
+        code, out, err = verify_file(capsys, tmp_path, self.TEXT)
+        assert (code, out) == (3, "")
+        assert err == "malformed construction: document repeats a key\n"
+        # each value alone is a well-formed document
+        for a in ("1", "2"):
+            text = f'{{"y": 3, "factors": [[3, 1]], "a": "{a}"}}'
+            assert verify_file(capsys, tmp_path, text)[0] == 1
+
+
 def test_one_module_writes_both_documents():
     assert halving.halving_result_to_json is construction.halving_result_to_json
     for name in ("_ODD_ROW", "_TWO_POWER_ROW", "_certificate_row", "_json_list"):

@@ -378,6 +378,22 @@ class TestSmallPrimeContribution:
         with pytest.raises(ValueError):
             small_prime_contribution(richards10, 1)
 
+    def test_eps_exponent_guard(self, richards10):
+        # eps is read by the parser delta uses, so Fraction never builds
+        # 10**1000000
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="eps has a decimal exponent beyond"):
+            small_prime_contribution(richards10, "1e-1000000")
+        assert time.perf_counter() - start < 0.05
+        with pytest.raises(ValueError, match="decimal exponent beyond"):
+            small_prime_contribution(richards10, "5E+10001")
+        # an exponent of 10^4 still reaches the range check
+        assert small_prime_contribution(richards10, "1e-10000") == 0.0
+        with pytest.raises(ValueError, match=r"eps must be in \(0, 1\)"):
+            small_prime_contribution(richards10, "1e10000")
+        values = {small_prime_contribution(richards10, e) for e in ("1/2", "0.5", HALF)}
+        assert len(values) == 1
+
 
 class TestHalvingJson:
     def test_document_shape(self, richards10):

@@ -261,6 +261,10 @@ class TestCertifyNonMembership:
         with pytest.raises(ValueError):
             certify_non_membership(10, [39])  # composite, 3 mod 4
 
+    def test_rejects_n_below_one(self):
+        with pytest.raises(ValueError, match="expects n >= 1"):
+            certify_non_membership(0, [3])
+
     def test_soundness_against_sieve(self):
         from twosquare_gaps.arith import sieve_primes
 

@@ -16,11 +16,13 @@ prime's largest pinned odd valuation for the halving module.  Its
 certificates are bare, one per (p, k); the public functions pair them
 with offsets.  One generator checks the elements of every certified
 interval, the covering's and the halving's, one at a time, so a caller
-streams them and keeps none.  The document section writes the
-construction and halving documents and the verify report from row
-templates straight from the walk's table, each certificate's row text
-rendered once, and reads the first, shifts in decimal past CPython's
-int<->str limit.
+streams them and keeps none.  It runs each certificate's residue test on
+a remainder of the interval's base, taken once per certificate object by
+a direct %, and builds an element integer only for the oracle.  The
+document section writes the construction and halving documents and the
+verify report from row templates straight from the walk's table, each
+certificate's row text rendered once, and reads the first, shifts in
+decimal past CPython's int<->str limit.
 """
 
 from __future__ import annotations
@@ -265,20 +267,39 @@ def _element_checks(
     seed: int,
 ) -> Iterator[tuple[int, OddValuation | TwoPowerForm, str]]:
     """(j, certificate table[j - 1], oracle status) for each element
-    base + j in turn, once its certificate holds on the integer itself and
-    the oracle (classify) has cross-checked it if it is at most
-    oracle_limit (None: no limit).  interval_check's budget is every
-    element or none, by value(P); the halving's is each element's size.
-    Raises AssertionError, explicitly so that python -O keeps it, when a
+    base + j in turn (base >= 0), once its certificate holds on it and the
+    oracle (classify) has cross-checked it if it is at most oracle_limit
+    (None: no limit).  interval_check's budget is every element or none,
+    by value(P); the halving's is each element's size.  Raises
+    AssertionError, explicitly so that python -O keeps it, when a
     certificate fails or the oracle finds a two-squares witness.
+
+    Each certificate is the residue test holds_mod modulo its modulus()
+    q, so element j passes iff (base mod q + j) mod q does: exact integer
+    arithmetic, with base reduced once per certificate object (the walk
+    shares one per (p, k)) by a direct %, not by the modulus's remainder
+    tree, which keeps the check independent of the walk.  No element
+    integer is built except for the oracle; the elements ascend, so they
+    cross oracle_limit at most once.
     """
+    # id(cert) -> (cert, q, base mod q); the entry holds cert, so its id
+    # is not reused meanwhile
+    reduced: dict[int, tuple[OddValuation | TwoPowerForm, int, int]] = {}
+    # the oracle checks the offsets j <= last, where base + j <= oracle_limit
+    last = len(table) if oracle_limit is None else oracle_limit - base
     for j, cert in enumerate(table, 1):
-        n = base + j
-        if not cert.holds_for(n):
+        key = id(cert)
+        hit = reduced.get(key)
+        if hit is None:
+            q = cert.modulus()
+            hit = reduced[key] = (cert, q, base % q)
+        _, q, r = hit
+        if not cert.holds_mod((r + j) % q):
             raise AssertionError(f"certificate does not hold at offset {j}")
-        if oracle_limit is not None and n > oracle_limit:
+        if j > last:
             yield j, cert, "skipped"
             continue
+        n = base + j
         verdict = classify(n, effort=effort, seed=seed)
         if isinstance(verdict, Member):
             raise AssertionError(f"oracle found witness for certified element {n}")

@@ -67,7 +67,9 @@ def _checked_cert_prime(p: int) -> None:
 class OddValuation:
     """Certificate: v_p(n) == k with k odd and p prime, p = 3 (mod 4).
 
-    Any such n is not a sum of two squares.
+    Any such n is not a sum of two squares.  Like TwoPowerForm, the claim
+    is a residue test: it holds on n >= 1 iff holds_mod(n % modulus()),
+    the one test that holds_for and the element stream both run.
     """
 
     p: int
@@ -89,15 +91,16 @@ class OddValuation:
         fields["p"], fields["k"] = p, k
         return obj
 
+    def modulus(self) -> int:
+        return self.p ** (self.k + 1)
+
+    def holds_mod(self, r: int) -> bool:
+        # v_p(n) == k for n >= 1 with r = n mod p^(k+1): r is nonzero iff
+        # p^(k+1) does not divide n, and p^k divides r iff it divides n
+        return r != 0 and r % self.p**self.k == 0
+
     def holds_for(self, n: int) -> bool:
-        # v_p(n) == k by one remainder on the raw integer: r = n mod p^(k+1)
-        # is nonzero iff p^(k+1) does not divide n, and p^k divides r iff
-        # it divides n
-        if n < 1:
-            return False
-        pk = self.p**self.k
-        r = n % (pk * self.p)
-        return r != 0 and r % pk == 0
+        return n >= 1 and self.holds_mod(n % self.modulus())
 
 
 @dataclass(frozen=True)
@@ -115,8 +118,16 @@ class TwoPowerForm:
         if self.k < 0:
             raise ValueError("k must be >= 0")
 
+    def modulus(self) -> int:
+        return 4 << self.k
+
+    def holds_mod(self, r: int) -> bool:
+        # n = 2^k * m with m = 3 (mod 4) iff n = 3 * 2^k (mod 2^(k+2)),
+        # for n >= 1 with r = n mod 2^(k+2)
+        return r == 3 << self.k
+
     def holds_for(self, n: int) -> bool:
-        return n >= 1 and valuation(n, 2) == self.k and (n >> self.k) % 4 == 3
+        return n >= 1 and self.holds_mod(n % self.modulus())
 
 
 def _two_power_form(n: int) -> TwoPowerForm | None:

@@ -29,7 +29,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def certificate_fails(mp: pytest.MonkeyPatch) -> None:
     for cls in (OddValuation, TwoPowerForm):
-        mp.setattr(cls, "holds_for", lambda self, n: False)
+        mp.setattr(cls, "holds_mod", lambda self, r: False)
 
 
 def oracle_finds_witness(mp: pytest.MonkeyPatch) -> None:

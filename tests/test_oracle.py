@@ -91,6 +91,38 @@ class TestCertificates:
         assert not cert.holds_for(pk * p)
         assert not cert.holds_for(-pk)
 
+    @given(
+        st.sampled_from([3, 7, 11, 19, 43, 10007]),
+        st.integers(0, 20).map(lambda i: 2 * i + 1),
+        st.integers(0, 70),
+        st.integers(min_value=-(2**600), max_value=2**600),
+        st.integers(0, 3),
+    )
+    def test_residue_test_matches_definition(self, p, k, k2, m, extra):
+        # holds_for is holds_mod on n mod modulus(), the test the element
+        # stream runs; both agree with the definitions for every sign of n
+        odd, two = OddValuation(p, k), TwoPowerForm(k2)
+        assert odd.modulus() == p ** (k + 1) and two.modulus() == 2 ** (k2 + 2)
+        pk = p**k
+        for n in (
+            *range(-3, 4),
+            m,
+            -m,
+            pk * m,
+            pk * p * m,
+            pk * (m * p + 1),
+            pk * p**extra * m,
+            m << k2,
+            (4 * m + 3) << k2,
+            ((4 * m + 3) << k2) * pk,
+        ):
+            on_odd = n >= 1 and valuation(n, p) == k
+            on_two = n >= 1 and valuation(n, 2) == k2 and (n >> k2) % 4 == 3
+            assert (odd.holds_for(n), two.holds_for(n)) == (on_odd, on_two), n
+            if n >= 1:
+                assert odd.holds_mod(n % odd.modulus()) == on_odd
+                assert two.holds_mod(n % two.modulus()) == on_two
+
     @settings(max_examples=50)
     @given(st.integers(3000, 6000), st.randoms(use_true_random=False))
     def test_odd_valuation_holds_on_large_integers(self, bits, rnd):

@@ -337,12 +337,15 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
     the tile and the covering walk share: one stride of 2**(k+2) per k
     while that stride is shorter than the window, then the few multiples
     of 2**k left, each decided alone.  Each prime p = 3 (mod 4) below
-    max(8, width / 64), 3 and 7 among them, keeps a parity mask over its
-    multiples (over those of 9 and 49 for 3 and 7), flipped at every
-    multiple of the next powers of p, in one buffer reused by all primes.
-    A larger prime hits the window 64 times at most; those primes take
-    their valuation parity together, one entry per (prime, hit), in a
-    vector pass run in chunks of about 2**16 entries.
+    max(8, width / 64) keeps a parity mask, flipped at every multiple of
+    the next powers of p, in one buffer reused by all primes.  For 3 and
+    7 the mask is over the multiples of p**3 (v_p = 2 is even).  Every
+    other such prime marks all its multiples with one strided write, and
+    its mask rewrites only the multiples of p**2 from what they held
+    before; where the window holds at most one of them, it is decided
+    alone.  A larger prime hits the window 64 times at most; those
+    primes take their valuation parity together, one entry per (prime,
+    hit), in a vector pass run in chunks of about 2**16 entries.
 
     Cost: about width * loglog(hi) element operations plus one Python
     step per prime p = 3 (mod 4) below max(8, width / 64), one per chunk
@@ -374,26 +377,37 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
         bad[first::step] = True
     primes = _primes_3_mod_4(math.isqrt(hi))
     split = primes.searchsorted(max(8, -(-width // _FEW_HITS)))
-    # the longest view is over the multiples of 9
-    buffer = np.empty(width // 9 + 1, dtype=bool)
+    # the longest view is over the multiples of 27
+    buffer = np.empty(width // 27 + 1, dtype=bool)
     for p in primes[:split].tolist():
-        # view[i] is m = lo + s + i*q; parity[i] ends up as v_p(m) odd.
-        # Parity stays per prime: a mask shared across primes would let
-        # two odd valuations cancel (21 = 3 * 7).  The tile holds v_p = 1
-        # for 3 and 7, so their masks start at the multiples of p**2.
-        q = p * p if p in (3, 7) else p
+        # view[i] is m = lo + s + i*q, q = p**k; parity[i] ends up as
+        # v_p(m) odd.  Parity stays per prime: a mask shared across primes
+        # would let two odd valuations cancel (21 = 3 * 7).  The tile
+        # holds v_p = 1 for 3 and 7, and v_p = 2 is even, so their masks
+        # start at the multiples of p**3.  Every other prime marks all its
+        # multiples with one strided write, and its mask rewrites only the
+        # multiples of p**2, ORed with what they held before the write.
+        k = 3 if p <= 7 else 2
+        q = p**k
         s = -lo % q
         view = bad[s::q]
-        parity = buffer[: len(view)]
-        parity.fill(q == p)
-        base = (lo + s) // q
-        stride = p
-        # once p**j has no multiple among the bases, no higher power has
-        while (first := -base % stride) < len(parity):
-            flip = parity[first::stride]
-            np.logical_not(flip, out=flip)
-            stride *= p
-        view |= parity
+        if len(view) > 1:
+            parity = buffer[: len(view)]
+            parity.fill(k % 2)
+            base = (lo + s) // q
+            stride = p
+            # once p**j has no multiple among the bases, no higher power has
+            while (first := -base % stride) < len(parity):
+                flip = parity[first::stride]
+                np.logical_not(flip, out=flip)
+                stride *= p
+            parity |= view
+        else:
+            # at most one multiple of q in the window: decide it alone
+            parity = len(view) == 1 and bool(view[0] or valuation(lo + s, p) % 2)
+        if k == 2:
+            bad[-lo % p :: p] = True
+        view[...] = parity
     # a prime p >= width / _FEW_HITS hits the window _FEW_HITS times at
     # most, at n = lo + s + t*p.  All such primes share one vector pass
     # with one entry per (prime, hit), so each entry keeps its own parity

@@ -7,18 +7,21 @@ each boundary, so the output is byte-identical for any segment size.
 Segments are sieved and merged one at a time, so memory stays one
 segment deep whatever the limit.
 
-A segment is merged one of two ways:
+No array of member positions is built.  The scan starts from the
+record (1, 2, 1), and a gap above best is a run of at least best
+non-members, so each segment is searched for runs of zero units of the
+boolean segment, viewed as bytes or as uint64 words:
 
-* dense: the positions of all its members, their differences and a
-  running maximum give every gap.  The first segment, and each one
-  before best reaches 15, is merged so.
-* sparse: a gap above best is a run of at least best non-members, which
-  holds at least (best - 7) // 8 whole all-zero 8-byte words of the
-  boolean segment.  The segment is viewed as uint64 words, shifted ANDs
-  keep the runs of that many zero words, and exact members are looked
-  up only at those runs and at the gap that crosses the left boundary
-  (a word-at-a-time zero search: Warren, Hacker's Delight, 2nd ed.,
-  2012, ch. 6).  No array of member positions is built.
+* bytes: runs of best zero bytes.  The byte search runs while best < 31,
+  in pieces that end at powers of two, so best keeps pace with the gaps.
+* words: such a run holds at least (best - 7) // 8 whole all-zero
+  8-byte words.  Runs of one or two words are too common to pay, so
+  words take over from best = 31, over the rest of each segment.
+
+Shifted ANDs keep the runs of that many zero units, and exact members
+are looked up only at those runs and at the gap that crosses the left
+boundary (a word-at-a-time zero search: Warren, Hacker's Delight, 2nd
+ed., 2012, ch. 6).
 """
 
 from __future__ import annotations
@@ -75,53 +78,36 @@ def _zero_words(best: int) -> int:
     return (best - 7) // 8
 
 
-def _dense_merge(
-    seg: np.ndarray, lo: int, prev: int, best: int, records: list[GapRecord]
-) -> tuple[int, int]:
-    # every gap in the segment, from its member positions
-    chunk = np.flatnonzero(seg)
-    chunk += lo
-    if len(chunk) == 0:
-        return prev, best
-    # gaps within the chunk plus the carried gap across the boundary
-    gaps = np.diff(chunk, prepend=prev)
-    running = np.maximum.accumulate(gaps)
-    for i in np.nonzero((gaps == running) & (gaps > best))[0]:
-        g = int(gaps[i])
-        if g > best:
-            best = g
-            left = prev if i == 0 else int(chunk[i - 1])
-            records.append(GapRecord(left, int(chunk[i]), g))
-    return int(chunk[-1]), best
-
-
-def _sparse_merge(
-    seg: np.ndarray, lo: int, prev: int, best: int, runs: int, records: list[GapRecord]
+def _run_merge(
+    seg: np.ndarray, lo: int, prev: int, best: int, unit: int, records: list[GapRecord]
 ) -> tuple[int, int]:
     # only the gaps that can beat best: the leading gap, and the runs of
-    # at least `runs` all-zero words of the segment
+    # zero units, bytes (unit 1) or 8-byte words (unit 8), long enough to
+    # hold a gap above best
     first = _first_member(seg, 0)
     if first < 0:
         return prev, best
     if lo + first - prev > best:
         best = lo + first - prev
         records.append(GapRecord(prev, lo + first, best))
-    zero = seg[: len(seg) - len(seg) % 8].view(np.uint64) == 0
-    # zero[i] becomes: words i .. i + span - 1 are all zero
+    runs = best if unit == 1 else _zero_words(best)
+    zero = seg[: len(seg) - len(seg) % unit].view(f"u{unit}") == 0
+    # zero[i] becomes: units i .. i + span - 1 are all zero
     span = 1
     while span < runs:
         step = min(span, runs - span)
         zero = zero[:-step] & zero[step:]
         span += step
     starts = np.flatnonzero(zero)
-    # the first word of each run: word i - 1 is not zero, so it holds
+    # the first unit of each run: unit i - 1 is not zero, so it holds
     # the run's left member
     starts = starts[np.diff(starts, prepend=-2) > 1].tolist()
     for i in starts:
         if i == 0:
             continue  # the leading gap, tested above
-        left = 8 * i - 8 + int(np.flatnonzero(seg[8 * i - 8 : 8 * i])[-1])
-        right = _first_member(seg, 8 * (i + runs))
+        a = unit * (i - 1)
+        left = a + int(np.flatnonzero(seg[a : a + unit])[-1])
+        right = _first_member(seg, unit * (i + runs))
         if right < 0:
             break  # carried into the next segment
         if right - left > best:
@@ -154,17 +140,23 @@ def scan_records(
         raise CapacityError(f"limit {limit} exceeds {_SIEVE_VALUE_CAP}")
     if segment_size < 1:
         raise ValueError("segment_size must be >= 1")
-    records: list[GapRecord] = []
-    # 1 is the first member; the first segment merges it again, a gap of 0
-    prev, best = 1, 0
+    # every scan starts from the record (1, 2, 1), so a gap above best
+    # holds at least one zero byte, and merging starts at 3
+    records = [GapRecord(1, 2, 1)]
+    prev, best = 2, 1
     for lo in range(1, limit + 1, segment_size):
         seg = membership_sieve(lo, min(lo + segment_size - 1, limit))
-        runs = _zero_words(best)
-        # runs < 1 while best < 15, and so in the first segment
-        if runs < 1:
-            prev, best = _dense_merge(seg, lo, prev, best, records)
-        else:
-            prev, best = _sparse_merge(seg, lo, prev, best, runs, records)
+        at = max(0, 3 - lo)
+        # Runs of one or two words flood the loop with false candidates,
+        # so bytes run while best < 31, in pieces ending at the next power
+        # of two, which lets best keep pace with the gaps; words then run
+        # over the rest of each segment.
+        while at < len(seg) and _zero_words(best) < 3:
+            end = min(len(seg), (1 << (lo + at).bit_length()) - lo)
+            prev, best = _run_merge(seg[at:end], lo + at, prev, best, 1, records)
+            at = end
+        if at < len(seg):
+            prev, best = _run_merge(seg[at:], lo + at, prev, best, 8, records)
     return records
 
 

@@ -3,10 +3,11 @@
 reference_scan is test-only reference code: the dense merge that every
 segment used to run.  It takes the positions of all members of a
 segment with flatnonzero, their differences with diff, and the records
-among them with maximum.accumulate.  The library runs that merge only
-until best reaches 15, at the record (1493, 1508).  After that it looks
-only at each segment's leading gap and at its runs of all-zero 8-byte
-words, so the two must agree on every limit and segment size.
+among them with maximum.accumulate.  The library builds no array of
+member positions: it looks only at each segment's leading gap and at
+its runs of zero units, bytes while best < 31 (up to the record
+(241882, 241913)) and 8-byte words after that, so the two must agree
+on every limit and segment size.
 """
 
 import numpy as np
@@ -43,10 +44,12 @@ def reference_scan(limit, segment_size=DEFAULT_SEGMENT_SIZE):
     return records
 
 
-# (5165, 5184, 19) is the first record the word search finds
+# (5165, 5184, 19) is found by the byte search, and (284002, 284036, 34)
+# is the first record the word search finds
 GAP19 = (5165, 5184)
 LIMIT19 = 5200
-WORD_SEARCH_FROM = 1508
+GAP34 = (284002, 284036)
+LIMIT34 = 284100
 
 
 def segment_start(x, size):
@@ -75,13 +78,19 @@ def test_property(limit, data):
     assert scan_records(limit, size) == reference_scan(limit)
 
 
-@pytest.mark.parametrize("best", range(15, 48))
+@pytest.mark.parametrize("best", range(1, 48))
 def test_word_search_finds_every_alignment(best):
     # Synthetic segments, all members but one run of best non-members:
     # a gap of best + 1 at every byte alignment and every tail length,
-    # which a run count of _zero_words(best) words must still find.
+    # which a search for runs of zero bytes, and from best = 15 one for
+    # runs of zero words, must still find.
+    for unit in (1, 8) if best >= 15 else (1,):
+        check_every_alignment(best, unit)
+
+
+def check_every_alignment(best, unit):
     lo = 1000
-    runs = scanner._zero_words(best)
+    runs = best if unit == 1 else scanner._zero_words(best)
     assert runs >= 1
     for width in range(best + 2, best + 26):
         for left in range(width - best - 1):
@@ -89,7 +98,7 @@ def test_word_search_finds_every_alignment(best):
             seg = np.ones(width, dtype=bool)
             seg[left + 1 : right] = False
             records = []
-            prev, top = scanner._sparse_merge(seg, lo, lo - 1, best, runs, records)
+            prev, top = scanner._run_merge(seg, lo, lo - 1, best, unit, records)
             assert records == [GapRecord(lo + left, lo + right, best + 1)], (
                 width,
                 left,
@@ -97,29 +106,70 @@ def test_word_search_finds_every_alignment(best):
             assert (prev, top) == (lo + width - 1, best + 1)
 
 
+@pytest.mark.parametrize("segment_size", [DEFAULT_SEGMENT_SIZE, 1000])
+def test_limits_around_powers_of_two(segment_size):
+    # the byte search runs in pieces that end at powers of two, so these
+    # limits cut a piece at, just before and just after its end
+    for k in range(2, 19):
+        for limit in (2**k - 1, 2**k, 2**k + 1):
+            assert scan_records(limit, segment_size) == reference_scan(limit), limit
+
+
+@pytest.fixture
+def found_by(monkeypatch):
+    # found_by[record] is the unit of the run search that appended it
+    units = {}
+    merge = scanner._run_merge
+
+    def spy(seg, lo, prev, best, unit, records):
+        n = len(records)
+        out = merge(seg, lo, prev, best, unit, records)
+        units.update((r, unit) for r in records[n:])
+        return out
+
+    monkeypatch.setattr(scanner, "_run_merge", spy)
+    return units
+
+
+# The same three shapes at a record of the byte search and at the first
+# record of the word search: (record, limit, segment size, unit).
 class TestPinned:
-    def test_record_ends_in_tail_bytes(self):
-        # segment 5158..5184 is 27 wide, 3 whole words and a 3-byte tail,
-        # and the gap's right member is its last byte
-        size = 27
-        lo = segment_start(GAP19[0], size)
-        assert lo > WORD_SEARCH_FROM and lo + size - 1 == GAP19[1]
-        assert GAP19[1] - lo >= 8 * (size // 8)
-        assert scan_records(LIMIT19, size) == reference_scan(LIMIT19)
+    def check(self, found_by, gap, limit, size, unit):
+        got = scan_records(limit, size)
+        assert got == reference_scan(limit)
+        assert got[-1] == GapRecord(*gap, gap[1] - gap[0])
+        assert found_by[got[-1]] == unit
 
-    def test_gap_across_segment_boundary(self):
-        # 5184 opens a segment of 73, so the record is its leading gap
-        size = 73
-        assert segment_start(GAP19[1], size) == GAP19[1]
-        assert segment_start(GAP19[0], size) > WORD_SEARCH_FROM
-        assert scan_records(LIMIT19, size) == reference_scan(LIMIT19)
+    def test_record_ends_in_tail_bytes(self, found_by):
+        # segment 5158..5184 is 27 wide, 3 whole words and a 3-byte tail;
+        # segment 283969..284036 is 68 wide, 8 whole words and a 4-byte
+        # tail; the gap's right member is the segment's last byte
+        for gap, limit, size, unit in ((GAP19, LIMIT19, 27, 1), (GAP34, LIMIT34, 68, 8)):
+            lo = segment_start(gap[0], size)
+            assert lo + size - 1 == gap[1]
+            assert gap[1] - lo >= 8 * (size // 8)
+            self.check(found_by, gap, limit, size, unit)
 
-    def test_segment_without_member(self):
-        size = 8
-        lo = segment_start(GAP19[0], size) + size
-        assert lo > WORD_SEARCH_FROM
-        assert not membership_sieve(lo, lo + size - 1).any()
-        assert scan_records(LIMIT19, size) == reference_scan(LIMIT19)
+    def test_gap_across_segment_boundary(self, found_by):
+        # the right member opens a segment, so the record is its leading gap
+        for gap, limit, size, unit in ((GAP19, LIMIT19, 73, 1), (GAP34, LIMIT34, 56807, 8)):
+            assert segment_start(gap[1], size) == gap[1]
+            assert segment_start(gap[0], size) < gap[0]
+            self.check(found_by, gap, limit, size, unit)
+
+    @pytest.mark.parametrize("segment_size", [1000, DEFAULT_SEGMENT_SIZE])
+    def test_bytes_then_words(self, found_by, segment_size):
+        got = scan_records(LIMIT34, segment_size)
+        units = [found_by[r] for r in got[1:]]
+        assert units == sorted(units)
+        assert got[units.index(8)] == GapRecord(241882, 241913, 31)
+        assert got[units.index(8) + 1] == GapRecord(*GAP34, 34)
+
+    def test_segment_without_member(self, found_by):
+        for gap, limit, size, unit in ((GAP19, LIMIT19, 8, 1), (GAP34, LIMIT34, 16, 8)):
+            lo = segment_start(gap[0], size) + size
+            assert not membership_sieve(lo, lo + size - 1).any()
+            self.check(found_by, gap, limit, size, unit)
 
     @pytest.mark.parametrize("limit", [685540, 685541, 685542, 685575, 685576, 685577])
     @pytest.mark.parametrize("segment_size", [1000, 4096, 1 << 16, 1 << 20])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -72,6 +73,21 @@ class TestScanRecords:
         for args in ((5000.0,), (1.0,), (2.0**60,), (5000, 1024.0), (5000, 0.0)):
             with pytest.raises(TypeError):
                 scan_records(*args)
+
+    def test_traced_peak_of_a_scan(self):
+        # A scan to 2**24 holds about one segment's bytes and the sieve's
+        # working arrays, ~2.2 MB.  The int64 positions of the first
+        # segment's 226,419 members and their differences, as a dense
+        # merge builds them, would take the traced peak to ~7 MB.
+        limit = (1 << 24) - 1000
+        membership_sieve(limit, limit)  # the cached prime table and tile
+        tracemalloc.start()
+        try:
+            scan_records(limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000
 
     def test_ratio(self):
         r = GapRecord(20, 25, 5)

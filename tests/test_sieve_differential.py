@@ -187,6 +187,29 @@ def test_widths_at_the_single_hit_boundary(p):
                 assert_as_reference(lo, hi)
 
 
+@pytest.mark.parametrize("q", [27, 81, 343, 2401])
+def test_windows_ending_on_multiples_of_cubes(q):
+    # 3 and 7 keep masks over the multiples of 27 and 343 only; these
+    # windows start at, end at and straddle multiples of p**3 and p**4
+    for n in (q, 2 * q, q * q, q * (10**6 + 1), q * (2**30 + 1), q * (2**44 // q)):
+        for width in (1, 2, q - 1, q, q + 1, 2 * q + 1, 1000, 4097):
+            for lo, hi in _around(n, width):
+                assert_as_reference(lo, hi)
+
+
+@pytest.mark.parametrize("p", [11, 19, 1019, 1031])
+def test_windows_around_multiples_of_p_squared(p):
+    # A loop prime p > 7 marks all its multiples, then rewrites those of
+    # p**2.  A window of width p**2 - 1 holds at most one of them, which
+    # is decided alone; p**2 + 1 may hold two.  1019**2 < 2**20 < 1031**2,
+    # so in a default segment 1019 takes the mask and 1031 the lone entry.
+    assert p < DEFAULT_SEGMENT_SIZE // _FEW_HITS
+    for n in (p * p, p**3, p * p * (2**32 // (p * p)), p**3 * (2**34 // p**3)):
+        for width in (p * p - 1, p * p, p * p + 1, DEFAULT_SEGMENT_SIZE):
+            for lo, hi in _around(n, width):
+                assert_as_reference(lo, hi)
+
+
 def test_windows_straddling_tile_periods():
     period = 16 * 9 * 49
     for c in (1, 2, 3, 1000, 10**9, 2**30 + 1):

@@ -245,8 +245,10 @@ def traced_halve_peak(y: int, tmp_path) -> int:
 
 
 def test_halve_memory_grows_linearly(tmp_path):
-    # each element's ~3.26 * Y-bit integer lives only while it is checked,
-    # so doubling Y about doubles the traced peak (it quadrupled it, less
-    # the linear part, while every element was kept)
+    # the stream checks each element by residue tests and builds no
+    # element integer, so the traced peak holds what grows linearly in Y,
+    # such as the certificate table and the output rows: doubling Y about
+    # doubles it (it quadrupled it, less the linear part, while every
+    # element was kept)
     small, large = traced_halve_peak(1500, tmp_path), traced_halve_peak(3000, tmp_path)
     assert large / small < 2.5

@@ -102,7 +102,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_halve(args: argparse.Namespace) -> int:
     c = richards_construction(args.y)
     try:
-        res, elements = _gap_interval(
+        res, certs, elements = _gap_interval(
             c, args.delta, deep_verify=args.deep_verify, seed=args.seed
         )
     except NoGoodIntervalError as exc:
@@ -110,7 +110,7 @@ def _cmd_halve(args: argparse.Namespace) -> int:
         return 4
     # halving_result_to_json(find_gap_interval(...)) on the same result,
     # each row written as its element is checked
-    text = _halving_json(res, elements)
+    text = _halving_json(res, certs, elements)
     if res.degenerate:
         print(
             "warning: no modulus prime above delta*y; halving disabled, "

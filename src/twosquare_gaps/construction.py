@@ -12,17 +12,18 @@ membership sieve also uses, and for each odd prime p one slice of
 valuation 1 over the offsets j = -a (mod p), with a Python step only at
 the multiples of p^2: about sum y/p^2 steps, and one for each prime
 with at most one multiple in the window.  The walk also yields each odd
-prime's largest pinned odd valuation for the halving module.  Its
-certificates are bare, one per (p, k); the public functions pair them
-with offsets.  One generator checks the elements of every certified
-interval, the covering's and the halving's, one at a time, so a caller
-streams them and keeps none.  It runs each certificate's residue test on
-a remainder of the interval's base, taken once per certificate object by
-a direct %, and builds an element integer only for the oracle.  The
-document section writes the construction and halving documents and the
-verify report from row templates straight from the walk's table, each
-certificate's row text rendered once, and reads the first, shifts in
-decimal past CPython's int<->str limit.
+prime's largest pinned odd valuation for the halving module.  It lists
+its bare certificates once each, and its table holds each offset's index
+in that list; the public functions pair them with offsets.  One
+generator checks the elements of every certified interval, the
+covering's and the halving's, one at a time, so a caller streams them
+and keeps none.  It runs each certificate's residue test on a remainder
+of the interval's base, taken once per listed certificate by a direct %,
+and builds an element integer only for the oracle.  The document section
+writes the construction and halving documents and the verify report from
+row templates straight from the walk's table, each listed certificate's
+row text rendered once, and reads the first, shifts in decimal past
+CPython's int<->str limit.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ from .oracle import (
 )
 
 ORACLE_VALUE_LIMIT = 10**18
+
+_Certificate = OddValuation | TwoPowerForm
 
 
 class InadmissibleModulusError(ValueError):
@@ -144,11 +147,11 @@ def richards_construction(y: int) -> Construction:
 
 def _covering_walk(
     modulus: FactoredInteger, shift: int, lo: int, hi: int
-) -> tuple[list[OddValuation | TwoPowerForm | None], dict[int, int], int | None]:
-    """Certificate of each offset lo..hi (at index j - lo), None where no
-    condition matches, each odd prime's largest pinned odd valuation on
-    lo..hi (0 if none), and the least offset left uncovered (None if
-    there is none).
+) -> tuple[list[_Certificate], list[int | None], dict[int, int], int | None]:
+    """The certificates of offsets lo..hi, each listed once; at table index
+    j - lo the index in that list of offset j's certificate, None where no
+    condition matches; each odd prime's largest pinned odd valuation on
+    lo..hi (0 if none); and the least offset left uncovered (None if none).
 
     An offset keeps the first odd valuation the modulus pins (shift + j
     not 0 mod p^e), odd primes in ascending order, and else the two-power
@@ -164,21 +167,24 @@ def _covering_walk(
     window, and only the multiples of p^2 take a Python step each, to
     write their own odd valuation or put back the entry the slice
     covered.  A prime with at most one multiple in the window takes one
-    step, and a prime at exponent 1 pins nothing.  Each prime builds one
-    certificate per k it pins and shares it between offsets.  The shift is
-    reduced once, by value(P); the modulus's remainder tree gives its
-    residue mod each p^e.  Callers pass a validated modulus or one prime
-    power of one, so no prime is re-checked.
+    step, and a prime at exponent 1 pins nothing.  Each progression and
+    each (p, k) pinned is listed once, and dropped at the end if later
+    writers cover all its offsets.  The shift is reduced once, by
+    value(P); the modulus's remainder tree gives its residue mod each
+    p^e.  Callers pass a validated modulus or one prime power of one, so
+    no prime is re-checked.
     """
     n = hi - lo + 1
-    table: list[OddValuation | TwoPowerForm | None] = [None] * n
+    certs: list[_Certificate] = []
+    table: list[int | None] = [None] * n
     tree = modulus._tree
     powers = list(zip(modulus.factors, tree[0], _remainders(shift, tree)))
     if powers and powers[0][0][0] == 2:
         (_, e2), _, r2 = powers.pop(0)
         # the two-power pass reads shift + lo only mod 2^e
         for first, step, k in _two_power_hits(r2 + lo, n, 0, e2):
-            table[first::step] = [TwoPowerForm(k)] * len(range(first, n, step))
+            table[first::step] = [len(certs)] * len(range(first, n, step))
+            certs.append(TwoPowerForm(k))
     # keys in factor order, values set largest prime first
     pinned = dict.fromkeys((p for (p, _), _, _ in powers), 0)
     for (p, e), pe, r0 in reversed(powers):
@@ -193,28 +199,34 @@ def _covering_walk(
             r = (x + i) % pe
             k = 1 if r % pp else valuation(r, p) if r else 0
             if k & 1:
-                table[i] = OddValuation._trusted(p, k)
+                table[i] = len(certs)
+                certs.append(OddValuation._trusted(p, k))
                 pinned[p] = k
             continue
-        certs = {1: OddValuation._trusted(p, 1)}
+        # k -> index in certs of (p, k)
+        at = {1: len(certs)}
+        certs.append(OddValuation._trusted(p, 1))
         at_pp = range(-x % pp, n, pp)
         kept = table[at_pp.start::pp]
-        table[i::p] = [certs[1]] * len(range(i, n, p))
+        table[i::p] = [at[1]] * len(range(i, n, p))
         for i2, old in zip(at_pp, kept):
             # k = 0 where p^e divides shift + j
             r = (x + i2) % pe
             k = valuation(r, p) if r else 0
             if k & 1:
-                cert = certs.get(k)
-                if cert is None:
-                    cert = certs[k] = OddValuation._trusted(p, k)
-                table[i2] = cert
+                if k not in at:
+                    at[k] = len(certs)
+                    certs.append(OddValuation._trusted(p, k))
+                table[i2] = at[k]
             else:
                 table[i2] = old
-        pinned[p] = max(certs)
-    # by identity: None in table would call each certificate's __eq__
-    hole = next((lo + i for i, cert in enumerate(table) if cert is None), None)
-    return table, pinned, hole
+        pinned[p] = max(at)
+    used = sorted(set(table).difference([None]))
+    if len(used) < len(certs):
+        certs = [certs[i] for i in used]
+        table = list(map(dict(zip(used, range(len(used)))).get, table))
+    hole = lo + table.index(None) if None in table else None
+    return certs, table, pinned, hole
 
 
 def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | None:
@@ -225,26 +237,27 @@ def covering_certificate(c: Construction, offset: int) -> CoveringCertificate | 
     """
     if not 1 <= offset <= c.y:
         raise ValueError("offset must be in [1, y]")
-    cert = _covering_walk(c.modulus, c.shift, offset, offset)[0][0]
-    return None if cert is None else CoveringCertificate(offset, cert)
+    certs, (i,), _, _ = _covering_walk(c.modulus, c.shift, offset, offset)
+    return None if i is None else CoveringCertificate(offset, certs[i])
 
 
 def verify_covering(c: Construction) -> CoveringReport:
     """Check all offsets 1..y; the report ends at the least uncovered one."""
-    table, _, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
-    n = c.y if hole is None else hole - 1
-    certs = tuple(CoveringCertificate(j, table[j - 1]) for j in range(1, n + 1))
-    return CoveringReport(c.y, certs, hole)
+    certs, table, _, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
+    covered = enumerate(table if hole is None else table[: hole - 1], 1)
+    return CoveringReport(
+        c.y, tuple(CoveringCertificate(j, certs[i]) for j, i in covered), hole
+    )
 
 
 def _covered_walk(
     c: Construction,
-) -> tuple[list[OddValuation | TwoPowerForm], dict[int, int]]:
+) -> tuple[list[_Certificate], list[int], dict[int, int]]:
     # the covering walk over 1..y, which must certify every offset
-    table, pinned, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
+    certs, table, pinned, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
     if hole is not None:
         raise ValueError(f"construction is not covered: offset {hole}")
-    return table, pinned
+    return certs, table, pinned
 
 
 @dataclass(frozen=True)
@@ -260,14 +273,15 @@ class ElementCheck:
 
 
 def _element_checks(
-    table: list[OddValuation | TwoPowerForm],
+    certs: list[_Certificate],
+    table: list[int],
     base: int,
     oracle_limit: int | None,
     effort: int,
     seed: int,
-) -> Iterator[tuple[int, OddValuation | TwoPowerForm, str]]:
-    """(j, certificate table[j - 1], oracle status) for each element
-    base + j in turn (base >= 0), once its certificate holds on it and the
+) -> Iterator[tuple[int, int, str]]:
+    """(j, i, oracle status) for each element base + j in turn (base >= 0),
+    once its certificate certs[i], i = table[j - 1], holds on it and the
     oracle (classify) has cross-checked it if it is at most oracle_limit
     (None: no limit).  interval_check's budget is every element or none,
     by value(P); the halving's is each element's size.  Raises
@@ -276,34 +290,26 @@ def _element_checks(
 
     Each certificate is the residue test holds_mod modulo its modulus()
     q, so element j passes iff (base mod q + j) mod q does: exact integer
-    arithmetic, with base reduced once per certificate object (the walk
-    shares one per (p, k)) by a direct %, not by the modulus's remainder
-    tree, which keeps the check independent of the walk.  No element
-    integer is built except for the oracle; the elements ascend, so they
-    cross oracle_limit at most once.
+    arithmetic, with base reduced once per entry of certs by a direct %,
+    not by the modulus's remainder tree, which keeps the check independent
+    of the walk.  No element integer is built except for the oracle; the
+    elements ascend, so they cross oracle_limit at most once.
     """
-    # id(cert) -> (cert, q, base mod q); the entry holds cert, so its id
-    # is not reused meanwhile
-    reduced: dict[int, tuple[OddValuation | TwoPowerForm, int, int]] = {}
+    reduced = [(q, base % q) for q in (cert.modulus() for cert in certs)]
     # the oracle checks the offsets j <= last, where base + j <= oracle_limit
     last = len(table) if oracle_limit is None else oracle_limit - base
-    for j, cert in enumerate(table, 1):
-        key = id(cert)
-        hit = reduced.get(key)
-        if hit is None:
-            q = cert.modulus()
-            hit = reduced[key] = (cert, q, base % q)
-        _, q, r = hit
-        if not cert.holds_mod((r + j) % q):
+    for j, i in enumerate(table, 1):
+        q, r = reduced[i]
+        if not certs[i].holds_mod((r + j) % q):
             raise AssertionError(f"certificate does not hold at offset {j}")
         if j > last:
-            yield j, cert, "skipped"
+            yield j, i, "skipped"
             continue
         n = base + j
         verdict = classify(n, effort=effort, seed=seed)
         if isinstance(verdict, Member):
             raise AssertionError(f"oracle found witness for certified element {n}")
-        yield j, cert, "confirmed" if isinstance(verdict, NonMember) else "unknown"
+        yield j, i, "confirmed" if isinstance(verdict, NonMember) else "unknown"
 
 
 def interval_check(
@@ -319,10 +325,10 @@ def interval_check(
     the oracle budget (10^18, lifted by deep_verify).  The two routes are
     never collapsed: a certificate is derived from congruences only.
     """
-    table, _ = _covered_walk(c)
+    certs, table, _ = _covered_walk(c)
     limit = None if deep_verify or c.modulus.value() <= ORACLE_VALUE_LIMIT else 0
-    checks = _element_checks(table, c.shift, limit, effort, seed)
-    return [ElementCheck(j, c.shift + j, cert, st) for j, cert, st in checks]
+    checks = _element_checks(certs, table, c.shift, limit, effort, seed)
+    return [ElementCheck(j, c.shift + j, certs[i], st) for j, i, st in checks]
 
 
 def modulus_growth(y: int) -> float:
@@ -367,24 +373,15 @@ def _verify_text(nm: OddValuation | TwoPowerForm) -> str:
 
 
 def _render_rows(
+    certs: list[_Certificate],
     items: Iterable[tuple],
     prefix: str,
-    render: Callable[[OddValuation | TwoPowerForm], str],
+    render: Callable[[_Certificate], str],
 ) -> list[str]:
-    """prefix + offset + render(certificate) for each item, an (offset,
-    certificate, ...) tuple, taken as it comes.  Each certificate is
-    rendered once, keyed by identity, since the covering walk shares one
-    object per (p, k); the cache holds the certificate, so its id is not
-    reused meanwhile."""
-    texts: dict[int, tuple[object, str]] = {}
-    rows = []
-    for item in items:
-        nm = item[1]
-        hit = texts.get(id(nm))
-        if hit is None:
-            hit = texts[id(nm)] = (nm, render(nm))
-        rows.append(f"{prefix}{item[0]}{hit[1]}")
-    return rows
+    """prefix + offset + render(certs[i]) for each item, an (offset, i,
+    ...) tuple, taken as it comes; each entry of certs is rendered once."""
+    texts = [render(nm) for nm in certs]
+    return [f"{prefix}{item[0]}{texts[item[1]]}" for item in items]
 
 
 def construction_to_json(c: Construction) -> str:
@@ -396,15 +393,16 @@ def construction_to_json(c: Construction) -> str:
 
 
 def halving_result_to_json(res) -> str:
-    items = ((chk.offset, chk.certificate) for chk in res.certificates)
-    return _halving_json(res, items)
+    checks = res.certificates
+    items = ((chk.offset, i) for i, chk in enumerate(checks))
+    return _halving_json(res, [chk.certificate for chk in checks], items)
 
 
-def _halving_json(res, items: Iterable[tuple]) -> str:
+def _halving_json(res, certs: list[_Certificate], items: Iterable[tuple]) -> str:
     """The halving document of res, a HalvingResult, with one certificate
-    row per (offset, certificate, ...) item, each rendered as it comes;
-    an exception from items propagates before the document exists."""
-    certificates = _json_list(_render_rows(items, "[\n      ", _certificate_row))
+    row per (offset, index into certs, ...) item, taken as it comes; an
+    exception from items propagates before the document exists."""
+    certificates = _json_list(_render_rows(certs, items, "[\n      ", _certificate_row))
     bad_n = _json_list(map(str, sorted(res.bad_n)))
     interval = _json_list(f'"{_int_to_decimal(v)}"' for v in res.interval)
     return (
@@ -421,9 +419,9 @@ def _halving_json(res, items: Iterable[tuple]) -> str:
 def _verify_report(c: Construction) -> tuple[str, int | None]:
     """The verify command's report on c, a line per certificate of
     verify_covering's report and then its end, and the first hole."""
-    table, _, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
+    certs, table, _, hole = _covering_walk(c.modulus, c.shift, 1, c.y)
     covered = enumerate(table if hole is None else table[: hole - 1], 1)
-    lines = _render_rows(covered, "offset ", _verify_text)
+    lines = _render_rows(certs, covered, "offset ", _verify_text)
     end = f"covered: {c.y}/{c.y}" if hole is None else f"uncovered at offset {hole}"
     return "\n".join(lines + [end]) + "\n", hole
 

@@ -55,13 +55,14 @@ from .construction import (
     ORACLE_VALUE_LIMIT,
     Construction,
     ElementCheck,
+    _Certificate,
     _covered_walk,
     _covering_walk,
     _element_checks,
     halving_result_to_json,
     richards_construction,
 )
-from .oracle import OddValuation, TwoPowerForm
+from .oracle import OddValuation
 
 
 class NoGoodIntervalError(RuntimeError):
@@ -105,7 +106,7 @@ def has_odd_cover(c: Construction, p: int) -> bool:
         raise ValueError("p must be an odd prime of the modulus")
     # the covering walk of p^e alone; c has validated p and the shift
     alone = FactoredInteger._trusted(((p, e),))
-    return _covering_walk(alone, c.shift, 1, c.y)[1][p] > 0
+    return _covering_walk(alone, c.shift, 1, c.y)[2][p] > 0
 
 
 def halved_modulus(c: Construction, delta) -> FactoredInteger:
@@ -116,7 +117,7 @@ def halved_modulus(c: Construction, delta) -> FactoredInteger:
     prime gets 1; a prime with no pinned odd valuation drops out; 2 keeps
     its exponent.
     """
-    return _halved(c, _covering_walk(c.modulus, c.shift, 1, c.y)[1], delta)[2]
+    return _halved(c, _covering_walk(c.modulus, c.shift, 1, c.y)[2], delta)[2]
 
 
 def _to_fraction(value, name: str) -> Fraction:
@@ -206,7 +207,7 @@ def exceptional_pairs(c: Construction, delta) -> list[tuple[int, int, int | None
     n = -((a0+j)/p) * (value/p)^-1 mod p, recorded when it lands in
     [0, floor(delta*y)] and None otherwise.
     """
-    pinned = _covering_walk(c.modulus, c.shift, 1, c.y)[1]
+    pinned = _covering_walk(c.modulus, c.shift, 1, c.y)[2]
     _, threshold, halved, a0 = _halved(c, pinned, delta)
     return _exceptional_pairs(c.y, halved, a0, threshold)
 
@@ -221,24 +222,22 @@ def _gap_interval(
     effort: int = DEFAULT_EFFORT,
     deep_verify: bool = False,
     seed: int = 0,
-) -> tuple[HalvingResult, Iterator[tuple[int, OddValuation | TwoPowerForm, str]]]:
-    """find_gap_interval's result without certificates, and the stream of
-    (j, certificate, status) that checks each element as it is read, so
-    NoGoodIntervalError comes before any check.  A large prime's pinned
-    k >= 3 becomes one shared (p, 1): the halved modulus pins one factor
-    of p, and the element check confirms v_p = 1."""
-    table, pinned = _covered_walk(c)
+) -> tuple[HalvingResult, list[_Certificate], Iterator[tuple[int, int, str]]]:
+    """find_gap_interval's result without certificates, the walk's list of
+    certificates, and the stream of (j, index into that list, status) that
+    checks each element as it is read, so NoGoodIntervalError comes before
+    any check.  A large prime's pinned k >= 3 becomes (p, 1) in the list:
+    the halved modulus pins one factor of p, and the element check
+    confirms v_p = 1."""
+    certs, table, pinned = _covered_walk(c)
     delta, threshold, halved, a0 = _halved(c, pinned, delta)
     bad = _bad_set(_exceptional_pairs(c.y, halved, a0, threshold))
     chosen = next((n for n in range(threshold + 1) if n not in bad), None)
     if chosen is None:
         raise NoGoodIntervalError(bad)
     # Construction has validated p
-    ones = {p: OddValuation._trusted(p, 1) for p, k in pinned.items()
-            if k > 1 and p > threshold}
-    if ones:
-        table = [ones.get(nm.p, nm) if isinstance(nm, OddValuation) else nm
-                 for nm in table]
+    certs = [OddValuation._trusted(nm.p, 1) if isinstance(nm, OddValuation)
+             and nm.k > 1 and nm.p > threshold else nm for nm in certs]
     base = a0 + chosen * halved.value()
     res = HalvingResult(
         y=c.y,
@@ -256,7 +255,7 @@ def _gap_interval(
         degenerate=halved.factors == c.modulus.factors,
     )
     limit = None if deep_verify else ORACLE_VALUE_LIMIT
-    return res, _element_checks(table, base, limit, effort, seed)
+    return res, certs, _element_checks(certs, table, base, limit, effort, seed)
 
 
 def find_gap_interval(
@@ -276,10 +275,10 @@ def find_gap_interval(
     This is _gap_interval's result with its element stream collected
     into ElementCheck objects.
     """
-    res, elements = _gap_interval(c, delta, effort, deep_verify, seed)
+    res, certs, elements = _gap_interval(c, delta, effort, deep_verify, seed)
     base = res.interval[0] - 1
     return replace(res, certificates=tuple(
-        ElementCheck(j, base + j, nm, st) for j, nm, st in elements
+        ElementCheck(j, base + j, certs[i], st) for j, i, st in elements
     ))
 
 
@@ -297,7 +296,7 @@ def efficiency_report(ys: list[int], delta=Fraction(1, 2)) -> list[tuple]:
     rows = []
     for y in ys:
         c = richards_construction(y)
-        res, elements = _gap_interval(c, delta)
+        res, _, elements = _gap_interval(c, delta)
         for _ in elements:
             pass
         rows.append(efficiency_row(c, res))

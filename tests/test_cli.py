@@ -454,6 +454,28 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
     assert calls["_element_checks"] == 3
 
 
+def test_rows_render_each_listed_certificate_once(capsys, tmp_path, monkeypatch):
+    # the walk lists 579 certificates at Y = 2300 for its 2300 offsets; the
+    # halve document and the verify report render each entry once
+    calls = Counter()
+    for name in ("_certificate_row", "_verify_text"):
+        render = getattr(construction, name)
+
+        def counted(nm, name=name, render=render):
+            calls[name] += 1
+            return render(nm)
+
+        monkeypatch.setattr(construction, name, counted)
+    doc, halved = tmp_path / "c.json", tmp_path / "h.json"
+    assert run(capsys, "richards", "--y", "2300", "--out", str(doc))[0] == 0
+    assert run(capsys, "halve", "--y", "2300", "--out", str(halved))[0] == 0
+    assert len(json.loads(halved.read_text())["certificates"]) == 2300
+    assert calls == {"_certificate_row": 579}
+    code, out, _ = run(capsys, "verify", str(doc))
+    assert code == 0 and out.endswith("covered: 2300/2300\n")
+    assert calls == {"_certificate_row": 579, "_verify_text": 579}
+
+
 def ladder_pass(capsys, tmp_path, monkeypatch) -> None:
     """One ladder pass of the benchmark's construct workload (seed 0)
     through cli.main, each command exiting 0."""

@@ -142,8 +142,8 @@ class TestVerifyCovering:
 
 
 class TestNoCertificateEquality:
-    """The construct path decides by identity and integers: it never
-    compares two certificates."""
+    """The construct path decides by indices into the walk's certificate
+    list and by integers: it never compares two certificates."""
 
     @pytest.fixture
     def no_eq(self, monkeypatch):

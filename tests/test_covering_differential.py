@@ -109,12 +109,21 @@ def walk_entries(table: list) -> list:
     ]
 
 
+def assert_lists_each_certificate_once(certs: list, table: list) -> None:
+    # the table's indices are exactly range(len(certs)), and no two
+    # listed certificates are equal
+    assert sorted(set(table).difference([None])) == list(range(len(certs)))
+    assert len(set(certs)) == len(certs)
+
+
 def assert_same_walk(modulus: FactoredInteger, shift: int, lo: int, hi: int) -> None:
-    table, pinned, hole = _covering_walk(modulus, shift, lo, hi)
+    certs, table, pinned, hole = _covering_walk(modulus, shift, lo, hi)
     want_table, want_pinned, want_hole = reference_walk(modulus, shift, lo, hi)
-    assert walk_entries(table) == walk_entries(want_table)
+    got_table = [None if i is None else certs[i] for i in table]
+    assert walk_entries(got_table) == walk_entries(want_table)
     assert list(pinned.items()) == list(want_pinned.items())
     assert hole == want_hole
+    assert_lists_each_certificate_once(certs, table)
 
 
 def reference_certificate(c: Construction, offset: int) -> CoveringCertificate | None:
@@ -245,7 +254,7 @@ def assert_same_covering(c: Construction) -> None:
 
 def assert_same_pinned(c: Construction) -> None:
     # the covering walk's largest pinned odd valuation of each odd prime
-    _, pinned, _ = _covering_walk(c.modulus, c.shift, 1, c.y)
+    _, _, pinned, _ = _covering_walk(c.modulus, c.shift, 1, c.y)
     odd = [p for p, _ in c.modulus.factors if p != 2]
     assert pinned == {p: reference_max_odd_valuation(c, p) for p in odd}
 
@@ -287,12 +296,12 @@ class TestWalk:
         empty = FactoredInteger(())
         for lo, hi in ((1, 1), (1, 9), (4, 30)):
             assert_same_walk(empty, 1, lo, hi)
-        assert _covering_walk(empty, 1, 4, 30) == ([None] * 27, {}, 4)
+        assert _covering_walk(empty, 1, 4, 30) == ([], [None] * 27, {}, 4)
 
     def test_python_steps(self):
         # the reference walk steps through every multiple of each odd prime
         # and reads 39,353 line events here on Python 3.11; the slice walk
-        # steps only through the multiples of p^2 and reads 23,350
+        # steps only through the multiples of p^2 and reads 21,557
         c = richards_construction(2300)
         args = (c.modulus, c.shift, 1, c.y)
         assert walk_line_events(_covering_walk, *args) < 30000
@@ -427,6 +436,9 @@ def walk_windows(draw):
 @example((FactoredInteger(((2, 12), (3, 1), (7, 1))), 5, 3, 3))
 # one multiple of 3, shift + 1 = 9, and the next one just past the window
 @example((FactoredInteger(((3, 2),)), 8, 1, 3))
+# shift + 1 = 3 is 3 * 2^0 and has v_3 = 1: (3, 1) covers the two-power
+# form's only offset, so the walk lists (3, 1) alone
+@example((FactoredInteger(((2, 12), (3, 2))), 2, 1, 1))
 def test_walk_windows(window):
     assert_same_walk(*window)
 

@@ -2,12 +2,13 @@
 
 construction._element_checks checks element base + j as its certificate's
 residue test on (base mod q + j) mod q, q the certificate's modulus(),
-with base reduced once per certificate object, and builds base + j only
-for the oracle.  The reference below is the loop it replaced: it builds
-every element and checks the certificate on the integer itself, here by
-the definition (v_p(n) = k, or v_2(n) = k with odd part 3 mod 4) rather
-than by holds_for, so the two share no certificate code.  It is kept
-here as test-only reference code.
+with base reduced once per entry of the certificate list, and builds
+base + j only for the oracle.  The reference below is the loop it
+replaced: it builds every element and checks the certificate on the
+integer itself, here by the definition (v_p(n) = k, or v_2(n) = k with
+odd part 3 mod 4) rather than by holds_for, so the two share no
+certificate code and the reference takes its own big remainders per
+element.  It is kept here as test-only reference code.
 """
 
 from fractions import Fraction
@@ -39,44 +40,47 @@ def reference_holds(cert, n: int) -> bool:
     return valuation(n, 2) == cert.k and (n >> cert.k) % 4 == 3
 
 
-def reference_element_checks(table, base, oracle_limit, effort, seed):
+def reference_element_checks(certs, table, base, oracle_limit, effort, seed):
     # the stream as it was: one element integer and one check on it per j
-    for j, cert in enumerate(table, 1):
+    for j, i in enumerate(table, 1):
         n = base + j
-        if not reference_holds(cert, n):
+        if not reference_holds(certs[i], n):
             raise AssertionError(f"certificate does not hold at offset {j}")
         if oracle_limit is not None and n > oracle_limit:
-            yield j, cert, "skipped"
+            yield j, i, "skipped"
             continue
         verdict = classify(n, effort=effort, seed=seed)
         if isinstance(verdict, Member):
             raise AssertionError(f"oracle found witness for certified element {n}")
-        yield j, cert, "confirmed" if isinstance(verdict, NonMember) else "unknown"
+        yield j, i, "confirmed" if isinstance(verdict, NonMember) else "unknown"
 
 
 def read(stream):
-    """Each (j, id(certificate), status) the stream yields, and the message
-    of the AssertionError that ends it (None if it ends normally)."""
+    """Each (j, certificate index, status) the stream yields, and the
+    message of the AssertionError that ends it (None if it ends normally)."""
     rows = []
     try:
-        for j, cert, status in stream:
-            rows.append((j, id(cert), status))
+        for row in stream:
+            rows.append(row)
     except AssertionError as exc:
         return rows, str(exc)
     return rows, None
 
 
-def assert_streams_agree(table, base, oracle_limit, effort=DEFAULT_EFFORT, seed=0):
-    got = read(_element_checks(table, base, oracle_limit, effort, seed))
-    assert got == read(reference_element_checks(table, base, oracle_limit, effort, seed))
+def assert_streams_agree(
+    certs, table, base, oracle_limit, effort=DEFAULT_EFFORT, seed=0
+):
+    args = (certs, table, base, oracle_limit, effort, seed)
+    got = read(_element_checks(*args))
+    assert got == read(reference_element_checks(*args))
     return got
 
 
 def interval_args(c):
     # interval_check's arguments to the stream
-    table, _ = _covered_walk(c)
+    certs, table, _ = _covered_walk(c)
     limit = None if c.modulus.value() <= ORACLE_VALUE_LIMIT else 0
-    return table, c.shift, limit
+    return certs, table, c.shift, limit
 
 
 def halving_args(c, monkeypatch):
@@ -112,14 +116,15 @@ def test_richards_streams_agree(ys, monkeypatch):
 
 @st.composite
 def certified_tables(draw):
-    """A base >= 0 and a table holding, for each element, a certificate
-    that holds on it where one from 2 and a few small primes does, shared
-    between offsets or built afresh; any certificate elsewhere, so the
+    """A certificate list, a table holding for each element the index of a
+    certificate that holds on it where one from 2 and a few small primes
+    does, shared between offsets or listed afresh (so the list may repeat
+    a certificate), and a base >= 0; any certificate elsewhere, so the
     stream may stop there."""
     base = draw(st.one_of(st.integers(0, 10**6), st.integers(0, 2**3000)))
     n = draw(st.integers(1, 60))
     shared = {}
-    table = []
+    certs, table = [], []
     for j in range(1, n + 1):
         element = base + j
         k = valuation(element, 2)
@@ -129,22 +134,24 @@ def certified_tables(draw):
                 cert = OddValuation(p, valuation(element, p))
         if cert is None:
             cert = draw(st.sampled_from([TwoPowerForm(0), OddValuation(3, 1)]))
+        i = len(certs)
         if draw(st.booleans()):
-            cert = shared.setdefault(cert, cert)
-        table.append(cert)
-    return table, base
+            i = shared.setdefault(cert, i)
+        if i == len(certs):
+            certs.append(cert)
+        table.append(i)
+    return certs, table, base
 
 
 @settings(max_examples=300, deadline=None)
-@example(([TwoPowerForm(0)] * 3, 2), None)  # elements 3, 4, 5: stops at offset 2
-@example(([OddValuation(3, 1)], 2), 0)
+@example(([TwoPowerForm(0)], [0] * 3, 2), None)  # elements 3, 4, 5: stops at offset 2
+@example(([OddValuation(3, 1)], [0], 2), 0)
 @given(
     certified_tables(),
     st.one_of(st.none(), st.integers(-5, 10**6), st.just(ORACLE_VALUE_LIMIT)),
 )
-def test_hypothesis_tables_agree(table_base, oracle_limit):
-    table, base = table_base
-    assert_streams_agree(table, base, oracle_limit, effort=2000, seed=1)
+def test_hypothesis_tables_agree(certs_table_base, oracle_limit):
+    assert_streams_agree(*certs_table_base, oracle_limit, effort=2000, seed=1)
 
 
 def wrong_certificate(cert, rnd):
@@ -160,24 +167,25 @@ def wrong_certificate(cert, rnd):
 @given(st.integers(1, 400), st.randoms(use_true_random=False), st.booleans())
 def test_one_wrong_certificate_fails_at_its_offset(y, rnd, halve):
     c = richards_construction(y)
-    table, base, limit = interval_args(c)
+    certs, table, base, limit = interval_args(c)
     if halve and y > 4:
         with pytest.MonkeyPatch.context() as mp:
             args = halving_args(c, mp)
         if args is not None:
-            table, base, limit = args[:3]
+            certs, table, base, limit = args[:4]
     i = rnd.randrange(len(table))
-    wrong = wrong_certificate(table[i], rnd)
+    wrong = wrong_certificate(certs[table[i]], rnd)
     assume(not reference_holds(wrong, base + i + 1))
-    table = table[:i] + [wrong] + table[i + 1 :]
-    rows, failure = assert_streams_agree(table, base, limit)
+    # the wrong certificate at offset i + 1 alone
+    table = table[:i] + [len(certs)] + table[i + 1 :]
+    rows, failure = assert_streams_agree(certs + [wrong], table, base, limit)
     assert failure == f"certificate does not hold at offset {i + 1}"
     assert len(rows) == i
 
 
 def test_richards_2300_reduces_the_base_once_per_certificate(monkeypatch):
-    # one reduction of the ~13,000-bit shift per distinct certificate
-    # object, not one per element
+    # one reduction of the ~13,000-bit shift per entry of the walk's
+    # certificate list, each a distinct object, not one per element
     calls = []
     for cls in (OddValuation, TwoPowerForm):
         real = cls.modulus

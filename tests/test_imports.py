@@ -1,5 +1,7 @@
 """Every module of the package uses each name it imports, read from its
-syntax tree, so a name left behind by a removed caller fails here."""
+syntax tree, so a name left behind by a removed caller fails here; and
+no module calls the builtin id, so no cache is keyed by an object's
+identity, which holds only while the object is alive."""
 
 import ast
 from pathlib import Path
@@ -44,3 +46,22 @@ def test_every_import_is_used(path):
 def test_gate_sees_a_left_over_import():
     assert unused_imports("import re\nfrom x import a, b as c\nc()\n") == {"re", "a"}
     assert unused_imports("from x import a\n__all__ = ['a']\n") == set()
+
+
+def id_calls(source: str) -> list[int]:
+    """Line numbers of the calls id(...) in source."""
+    return [
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "id"
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_calls_id(path):
+    assert id_calls(path.read_text()) == []
+
+
+def test_gate_sees_an_id_call():
+    assert id_calls("x = {}\nx[id(x)] = 1\nx.id(2)\n") == [2]

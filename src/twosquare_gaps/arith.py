@@ -4,8 +4,8 @@ product and remainder trees.
 Everything here is exact integer arithmetic.  No floating point is used
 anywhere a wrong rounding could change a result; floats only appear in
 logarithms reported for diagnostics.  Factorization screens the primes
-below 2**16 first: one int64 remainder pass over all of them for n below
-2**63, gcds with the products of runs of 128 of them above.
+below 2**16 first: one uint64 multiply-by-inverse pass over all of them
+for n below 2**64, gcds with the products of runs of 128 of them above.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ DEFAULT_EFFORT = 2_000_000
 
 _SIEVE_LIMIT_CAP = 1 << 32
 _SMALL_PRIME_LIMIT = 1 << 16
-_INT64_BOUND = 1 << 63
+_UINT64_BOUND = 1 << 64
 
 
 class CapacityError(ValueError):
@@ -59,15 +59,25 @@ def _prime_array(limit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _small_prime_table() -> np.ndarray:
-    # the primes below 2**16 as int64, screened by remainder for n < 2**63
-    return _prime_array(_SMALL_PRIME_LIMIT)
+def _small_prime_inverses() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # (odd, inv, lim) for the 6541 odd primes p below 2**16, as uint64:
+    # inv = p**-1 mod 2**64 and lim = floor((2**64 - 1) / p).  n -> n * inv
+    # mod 2**64 permutes [0, 2**64) and sends p * j to j, so p | n exactly
+    # when n * inv mod 2**64 <= lim (Granlund and Montgomery, "Division by
+    # invariant integers using multiplication", 1994; Warren, Hacker's
+    # Delight, 2nd ed., 10-17).  Array products wrap mod 2**64 silently,
+    # where a numpy scalar product would warn.
+    odd = _prime_array(_SMALL_PRIME_LIMIT)[1:].astype(np.uint64)
+    inv = odd.copy()  # p * p = 1 (mod 8): right in the low 3 bits
+    for _ in range(5):  # each Newton step doubles them: 3 -> 96 >= 64
+        inv *= 2 - odd * inv
+    return odd, inv, np.uint64(_UINT64_BOUND - 1) // odd
 
 
 @lru_cache(maxsize=None)
 def _small_prime_blocks() -> list[tuple[list[int], int]]:
     # the primes below 2**16 in 52 runs of 128 (the last has 14), each with
-    # its product, for the gcd screen of n >= 2**63.  Products of ~2000
+    # its product, for the gcd screen of n >= 2**64.  Products of ~2000
     # bits stay in Python's small-object arenas; one product of all the
     # primes would keep a ~94000-bit integer in the C heap, where numpy's
     # freed arrays left room, and fragment it (a scan run's peak RSS +4 MB).
@@ -241,7 +251,10 @@ def _iroot(n: int, k: int) -> int:
 def _brent_rho(n: int, effort: int, seed: int) -> int | None:
     """One nontrivial factor of composite odd n, or None if effort ran out.
 
-    Brent's cycle variant with batched gcd.  effort counts the squarings
+    Brent's cycle variant with batched gcd; a batch takes four squarings
+    and one product of their four differences from x per loop step, and
+    its last steps & 3 squarings one at a time, which leaves q mod n at
+    every gcd as one squaring per step would.  effort counts the squarings
     mod n in the gcd batches and in the replay after a batch overshoots;
     no new batch starts once it is spent.  The r squarings that advance y
     before each round are not counted.  r doubles from 1 in every attempt,
@@ -266,7 +279,13 @@ def _brent_rho(n: int, effort: int, seed: int) -> int | None:
             while k < r and g == 1 and remaining > 0:
                 ys = y
                 steps = min(m, r - k, remaining)
-                for _ in range(steps):
+                for _ in range(steps >> 2):
+                    y1 = (y * y + c) % n
+                    y2 = (y1 * y1 + c) % n
+                    y3 = (y2 * y2 + c) % n
+                    y = (y3 * y3 + c) % n
+                    q = q * (x - y1) * (x - y2) * (x - y3) * (x - y) % n
+                for _ in range(steps & 3):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 remaining -= steps
@@ -336,16 +355,17 @@ class Factorization:
 def factorize(n: int, effort: int = DEFAULT_EFFORT, seed: int = 0) -> Factorization:
     """Factor n >= 1.
 
-    The primes below 2**16 come out of one int64 remainder pass over
-    all of them for n < 2**63, and above that out of gcds of n with the
-    products of runs of 128 of them, each hit run's primes tried against
-    its gcd, instead of trial division of n.  Then perfect-power
-    extraction and Brent rho work on what is left.  If the rho budget
-    (effort, counted in modular squarings) runs out, the remaining
-    composite is reported as .residual instead of looping forever.  Rho
-    does at most 3 * effort + 128 squarings per composite, as effort
-    leaves out those that advance the cycle.  n is read through
-    operator.index, so numpy integers work and floats raise TypeError.
+    The primes below 2**16 come out of one uint64 multiply-by-inverse
+    pass over all of them for n < 2**64, and above that out of gcds of n
+    with the products of runs of 128 of them, each hit run's primes
+    tried against its gcd, instead of trial division of n.  Then
+    perfect-power extraction (math.isqrt for squares) and Brent rho work
+    on what is left.  If the rho budget (effort, counted in modular
+    squarings) runs out, the remaining composite is reported as
+    .residual instead of looping forever.  Rho does at most
+    3 * effort + 128 squarings per composite, as effort leaves out
+    those that advance the cycle.  n is read through operator.index, so
+    numpy integers work and floats raise TypeError.
     """
     n = operator.index(n)
     if n < 1:
@@ -359,8 +379,9 @@ def _small_factors(n: int) -> tuple[dict[int, int], int]:
     """(counts, m): the exponents of the primes below 2**16 in n, in
     ascending order, and the cofactor m they leave.
 
-    For n < 2**63 one int64 remainder pass over all 6542 of them finds
-    the primes that divide n, which then form one run with their product
+    For n < 2**64, n & 1 decides 2, and one uint64 pass over the 6541
+    odd ones, p | n exactly when n * p**-1 mod 2**64 <= (2**64 - 1) // p,
+    finds the others that divide n; they form one run with their product
     as its gcd.  Above that, gcd(n, product of a run) is the product of
     the run's primes that divide n; a run where it is 1 is skipped.
     The primes of each run left are tried against its gcd in ascending
@@ -370,9 +391,9 @@ def _small_factors(n: int) -> tuple[dict[int, int], int]:
     below 2**16, so m < 2**32 is 1 or a prime, which is moved into
     counts.
     """
-    if n < _INT64_BOUND:
-        table = _small_prime_table()
-        found = table[np.int64(n) % table == 0].tolist()
+    if n < _UINT64_BOUND:
+        odd, inv, lim = _small_prime_inverses()
+        found = ([] if n & 1 else [2]) + odd[np.uint64(n) * inv <= lim].tolist()
         hits = [(found, math.prod(found))]
     else:
         hits = []
@@ -414,7 +435,7 @@ def _large_factors(m: int, counts: dict[int, int], effort: int, seed: int) -> in
             # v = r**k with r > 2**16 needs more than 16 * k bits
             if 16 * k >= v.bit_length():
                 break
-            root = _iroot(v, k)
+            root = math.isqrt(v) if k == 2 else _iroot(v, k)
             if root**k == v:
                 stack.append((root, mult * k))
                 reduced = True

@@ -393,9 +393,13 @@ def construction_to_json(c: Construction) -> str:
 
 
 def halving_result_to_json(res) -> str:
-    checks = res.certificates
-    items = ((chk.offset, i) for i, chk in enumerate(checks))
-    return _halving_json(res, [chk.certificate for chk in checks], items)
+    # the certificates listed by value, so each distinct one is rendered once
+    index: dict[_Certificate, int] = {}
+    items = [
+        (chk.offset, index.setdefault(chk.certificate, len(index)))
+        for chk in res.certificates
+    ]
+    return _halving_json(res, list(index), items)
 
 
 def _halving_json(res, certs: list[_Certificate], items: Iterable[tuple]) -> str:

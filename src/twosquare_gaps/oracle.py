@@ -6,8 +6,9 @@ membership three independent ways:
 
 * classify()            factorization route, produces a witness or a
                         non-membership certificate.  The primes below
-                        2**16 are screened first (by one int64 remainder
-                        pass below 2**63, by run gcds above); when one
+                        2**16 are screened first (by one uint64
+                        multiply-by-inverse pass below 2**64, by run
+                        gcds above); when one
                         p = 3 (mod 4) among them sits at odd valuation,
                         classify answers without running rho.
 * membership_sieve()    parity sieve over a window: odd part 3 mod 4, or

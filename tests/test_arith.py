@@ -333,7 +333,8 @@ class TestFactorize:
 
     def test_power_test_skips_roots_below_the_table(self, monkeypatch):
         # what reaches the perfect-power test has no prime below 2**16, so
-        # v = r**k needs more than 16 * k bits; no k-th root is taken below
+        # v = r**k needs more than 16 * k bits; no k-th root is taken below.
+        # Square roots come from math.isqrt, the others from _iroot
         iroot = arith._iroot
         calls = []
 
@@ -342,7 +343,20 @@ class TestFactorize:
             calls.append(k)
             return iroot(v, k)
 
+        class CheckedMath:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def isqrt(self, v):
+                assert 32 < v.bit_length(), v
+                calls.append(2)
+                return math.isqrt(v)
+
+        # the screen's tables take math.isqrt of their sieve limit
+        arith._small_prime_inverses()
+        arith._small_prime_blocks()
         monkeypatch.setattr(arith, "_iroot", checked_iroot)
+        monkeypatch.setattr(arith, "math", CheckedMath())
         rng = random.Random(16)
         pool = [p for p in range(65537, 70000, 2) if is_prime(p)]
         for _ in range(40):
@@ -351,7 +365,7 @@ class TestFactorize:
             classify(n)
             fac = factorize(n)
             assert fac.complete and math.prod(p**e for p, e in fac.factors) == n
-        assert calls
+        assert {2, 3} <= set(calls)
 
     @settings(max_examples=60)
     @given(st.integers(min_value=1, max_value=10**12))
@@ -446,32 +460,49 @@ class TestBrentRhoBudget:
         ],
     )
     def test_squarings_within_stated_bound(self, n, effort):
-        # every squaring mod n, counted as line events on the three squaring
-        # lines; these read 113, 126, 2023 and 52,222, more than effort
-        # itself, which leaves out the squarings that advance y
-        lines, first = inspect.getsourcelines(_brent_rho)
-        squaring = {
-            first + i
-            for i, line in enumerate(lines)
-            if re.search(r"\b(\w+) = \(\1 \* \1 \+ c\) % n$", line.strip())
-        }
-        assert len(squaring) == 3
-        count = 0
-
-        def local(frame, event, arg):
-            nonlocal count
-            count += event == "line" and frame.f_lineno in squaring
-            return local
-
-        def tracer(frame, event, arg):
-            return local if frame.f_code is _brent_rho.__code__ else None
-
-        sys.settrace(tracer)
-        try:
-            _brent_rho(n, effort, 0)
-        finally:
-            sys.settrace(None)
+        # every squaring mod n, counted as line events on the seven squaring
+        # lines (the advance, the batch step's four, the batch's leftover
+        # steps and the replay); these read 113, 126, 2023 and 52,222, more
+        # than effort itself, which leaves out the squarings that advance y
+        count, _ = rho_line_events(n, effort)
         assert effort < count <= 3 * effort + 128
+
+    def test_python_steps(self):
+        # the batch step takes four squarings per loop pass: 96,087 line
+        # events here, where one squaring per pass took 125,107; the
+        # squarings themselves stay 52,222
+        squarings, events = rho_line_events(1000000007 * 998244353, 20000)
+        assert squarings == 52222 and events < 100_000
+
+
+def rho_line_events(n: int, effort: int) -> tuple[int, int]:
+    """(squarings, line events) of one _brent_rho(n, effort, 0) run, a
+    squaring being a line event on a line y = (x * x + c) % n."""
+    lines, first = inspect.getsourcelines(_brent_rho)
+    squaring = {
+        first + i
+        for i, line in enumerate(lines)
+        if re.search(r"(\w+) = \((\w+) \* \2 \+ c\) % n$", line.strip())
+    }
+    assert len(squaring) == 7
+    squarings = events = 0
+
+    def local(frame, event, arg):
+        nonlocal squarings, events
+        if event == "line":
+            events += 1
+            squarings += frame.f_lineno in squaring
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is _brent_rho.__code__ else None
+
+    sys.settrace(tracer)
+    try:
+        _brent_rho(n, effort, 0)
+    finally:
+        sys.settrace(None)
+    return squarings, events
 
 
 class TestDecimalText:

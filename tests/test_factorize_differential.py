@@ -1,6 +1,7 @@
 """Differential tests: the screened factorize and classify against the
-trial-division versions they replaced, and the small-prime screen against
-the run-gcd screen it replaced below 2**63.
+trial-division versions they replaced, the small-prime screen against the
+run-gcd and int64 screens it replaced below 2**64, and Brent rho against
+its one-squaring-per-step batch loop.
 
 reference_factorize and reference_classify are test-only reference code:
 trial division by every prime below 2**16, then the perfect-power and
@@ -9,15 +10,22 @@ classify that factors n completely before it looks for a certificate.
 The library must return the same Factorization, and the same verdict with
 the same witness, certificate or Unknown residual, at every effort.
 
-reference_small_factors is test-only reference code too: the run-gcd
-screen that served every n before one int64 remainder pass took n below
-2**63.  _small_factors must return the same (counts, m), with counts in
-the same ascending key order.
+reference_small_factors and reference_int64_screen are test-only
+reference code too: the run-gcd screen that served every n before one
+int64 remainder pass took n below 2**63, and that int64 pass, which the
+uint64 multiply-by-inverse pass replaced below 2**64.  _small_factors must
+return the same (counts, m) as each, with counts in the same ascending
+key order.
+
+reference_brent_rho is the rho loop with one squaring per step, as it ran
+before its batches took four per step; _brent_rho must return the same
+factor or None at every effort and seed.
 """
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +34,7 @@ from twosquare_gaps import arith
 from twosquare_gaps.arith import (
     DEFAULT_EFFORT,
     Factorization,
+    _brent_rho,
     _iroot,
     _small_factors,
     factorize,
@@ -42,13 +51,17 @@ from twosquare_gaps.oracle import (
     two_square_decomposition,
 )
 
+from test_arith import SEMIPRIMES
+
 SMALL_LIMIT = 1 << 16
 TABLE = sieve_primes(SMALL_LIMIT - 1)
 ROOT = math.prod(TABLE)
-# the library screens n >= 2**63 with the gcds of TABLE's runs of 128 primes
+# the library screens n >= 2**64 with the gcds of TABLE's runs of 128 primes
 RUNS = [TABLE[i : i + 128] for i in range(0, len(TABLE), 128)]
 RUN_PRODUCTS = [math.prod(run) for run in RUNS]
 INT64 = 1 << 63
+UINT64 = 1 << 64
+INT64_TABLE = np.array(TABLE, dtype=np.int64)
 
 
 def reference_brent_rho(n, effort, seed):
@@ -320,6 +333,18 @@ def reference_small_factors(n):
         g = math.gcd(n, product)
         if g > 1:
             hits.append((run, g))
+    return reference_extraction(n, hits)
+
+
+def reference_int64_screen(n):
+    # n < 2**63: one int64 remainder pass finds the primes that divide n
+    found = INT64_TABLE[np.int64(n) % INT64_TABLE == 0].tolist()
+    return reference_extraction(n, [(found, math.prod(found))])
+
+
+def reference_extraction(n, hits):
+    # each hit is (primes in ascending order, the product of those of them
+    # that divide n)
     m = n // math.prod(g for _, g in hits)
     counts = {}
     for run, g in hits:
@@ -341,30 +366,35 @@ def reference_small_factors(n):
 
 def assert_same_screen(n):
     counts, m = _small_factors(n)
-    want_counts, want_m = reference_small_factors(n)
-    assert (counts, m) == (want_counts, want_m)
-    assert list(counts) == list(want_counts)
+    wants = [reference_small_factors(n)]
+    if n < INT64:
+        wants.append(reference_int64_screen(n))
+    for want_counts, want_m in wants:
+        assert (counts, m) == (want_counts, want_m)
+        assert list(counts) == list(want_counts)
 
 
 def structured_screen_inputs():
     out = [1, 65537, 65537**2, 3 * 65537, 3 * 65537**2]
-    # either side of 2**63, alone and times small primes
-    for base in (INT64 - 1, INT64, INT64 + 1):
-        for k in (1, 2, 3, 7, 65521, 2 * 3 * 5 * 7, 65519 * 65521):
-            out.append(base * k)
+    # either side of 2**63 and 2**64, alone and times small primes
+    for edge in (INT64, UINT64):
+        for base in (edge - 1, edge, edge + 1):
+            for k in (1, 2, 3, 7, 65521, 2 * 3 * 5 * 7, 65519 * 65521):
+                out.append(base * k)
     # the last primes below 2**16 and the first above, as products
     top = (65519, 65521, 65537)
     for a in top:
         for b in top:
             out += [a * b, a * b * 2**40, a**2 * b**2]
     out.append(math.prod(top) ** 2)
-    # p**k on both sides of 2**63
-    for p in (3, 65521):
-        k = INT64.bit_length() // p.bit_length()
-        while p**k < INT64:
-            k += 1
-        out += [p ** (k - 2), p ** (k - 1), p**k, p ** (k + 1)]
-        out += [p ** (k - 1) * 65537, p ** (k - 1) * 2]
+    # p**k on both sides of 2**63 and of 2**64
+    for edge in (INT64, UINT64):
+        for p in (3, 65521):
+            k = edge.bit_length() // p.bit_length()
+            while p**k < edge:
+                k += 1
+            out += [p ** (k - 2), p ** (k - 1), p**k, p ** (k + 1)]
+            out += [p ** (k - 1) * 65537, p ** (k - 1) * 2]
     return out
 
 
@@ -383,6 +413,25 @@ class TestScreenAgainstRunGcds:
     @given(st.integers(min_value=INT64 - 2**20, max_value=INT64 + 2**20))
     def test_near_int64_edge(self, n):
         assert_same_screen(n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=1, max_value=UINT64 - 1))
+    def test_below_uint64(self, n):
+        assert_same_screen(n)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=UINT64 - 2**20, max_value=UINT64 + 2**20))
+    def test_near_uint64_edge(self, n):
+        assert_same_screen(n)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=UINT64 - 1),
+        st.integers(min_value=1, max_value=63),
+    )
+    def test_even(self, n, shift):
+        # 2 is read off n's low bit, not from the odd primes' table
+        assert_same_screen(max(n >> shift, 1) << shift)
 
     @pytest.mark.parametrize("n", structured_screen_inputs())
     def test_structured(self, n):
@@ -426,5 +475,35 @@ class TestRunGcdGate:
         counting = _CountingMath()
         monkeypatch.setattr(arith, "math", counting)
         n = (INT64 + 9) * self.BUDGET
+        assert n >= UINT64
         assert _small_factors(n) == reference_small_factors(n)
         assert counting.run_gcds == len(RUNS) == 52
+
+    def test_below_uint64_makes_no_run_gcd(self, monkeypatch):
+        # [2**63, 2**64) is screened by the uint64 pass, which took 52 run
+        # gcds while the split sat at 2**63
+        counting = _CountingMath()
+        monkeypatch.setattr(arith, "math", counting)
+        for n in (INT64, INT64 + 9, self.BUDGET << 12, 65521**4, UINT64 - 1):
+            assert INT64 <= n < UINT64
+            assert _small_factors(n) == reference_small_factors(n)
+        assert counting.run_gcds == 0
+
+
+class TestRhoAgainstOneSquaringPerStep:
+    def test_every_effort_up_to_200(self):
+        for n in SEMIPRIMES:
+            for effort in range(201):
+                assert _brent_rho(n, effort, 0) == reference_brent_rho(n, effort, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=3, max_value=1 << 40),
+        st.integers(min_value=3, max_value=1 << 40),
+        st.integers(min_value=0, max_value=300),
+        st.integers(min_value=0, max_value=3),
+    )
+    def test_composites(self, a, b, effort, seed):
+        # every effort, so batches cut short by it leave steps % 4 != 0
+        n = a * b
+        assert _brent_rho(n, effort, seed) == reference_brent_rho(n, effort, seed)

@@ -13,15 +13,18 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twosquare_gaps import construction
 from twosquare_gaps.arith import FactoredInteger, _int_to_decimal
 from twosquare_gaps.construction import (
     Construction,
     ElementCheck,
+    _halving_json,
     construction_to_json,
     richards_construction,
 )
 from twosquare_gaps.halving import (
     HalvingResult,
+    _gap_interval,
     find_gap_interval,
     halving_result_to_json,
 )
@@ -151,3 +154,25 @@ def test_writers_match_json_dumps_on_richards_rungs():
         if y >= 5:  # delta * y must exceed 2
             res = find_gap_interval(c, Fraction(1, 2))
             assert halving_result_to_json(res) == reference_halving_result_to_json(res)
+
+
+def test_halving_writer_renders_each_distinct_certificate_once(monkeypatch):
+    # a HalvingResult holds one ElementCheck per row; its writer lists their
+    # certificates by value and renders each distinct one once, into the
+    # same bytes as the halve command's document from the walk's list
+    c = richards_construction(300)
+    res = find_gap_interval(c, Fraction(1, 2))
+    head, certs, elements = _gap_interval(c, Fraction(1, 2))
+    cli_text = _halving_json(head, certs, elements)
+    render = construction._certificate_row
+    calls = 0
+
+    def counted(nm):
+        nonlocal calls
+        calls += 1
+        return render(nm)
+
+    monkeypatch.setattr(construction, "_certificate_row", counted)
+    assert halving_result_to_json(res) == cli_text
+    distinct = {chk.certificate for chk in res.certificates}
+    assert calls == len(distinct) < len(res.certificates) == 300

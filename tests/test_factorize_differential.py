@@ -376,26 +376,39 @@ def assert_same_screen(n):
 
 def structured_screen_inputs():
     out = [1, 65537, 65537**2, 3 * 65537, 3 * 65537**2]
-    # either side of 2**63 and 2**64, alone and times small primes
-    for edge in (INT64, UINT64):
-        for base in (edge - 1, edge, edge + 1):
-            for k in (1, 2, 3, 7, 65521, 2 * 3 * 5 * 7, 65519 * 65521):
-                out.append(base * k)
+    # either side of 2**63, alone and times small primes
+    for base in (INT64 - 1, INT64, INT64 + 1):
+        for k in (1, 2, 3, 7, 65521, 2 * 3 * 5 * 7, 65519 * 65521):
+            out.append(base * k)
     # the last primes below 2**16 and the first above, as products
     top = (65519, 65521, 65537)
     for a in top:
         for b in top:
             out += [a * b, a * b * 2**40, a**2 * b**2]
     out.append(math.prod(top) ** 2)
-    # p**k on both sides of 2**63 and of 2**64
-    for edge in (INT64, UINT64):
-        for p in (3, 65521):
-            k = edge.bit_length() // p.bit_length()
-            while p**k < edge:
-                k += 1
-            out += [p ** (k - 2), p ** (k - 1), p**k, p ** (k + 1)]
-            out += [p ** (k - 1) * 65537, p ** (k - 1) * 2]
+    # p**k on both sides of 2**63
+    for p in (3, 65521):
+        out += powers_across(p, INT64)
+    # the same shapes at 2**64, each value once and only where 2**63's
+    # shapes did not already give it
+    seen = set(out)
+    for n in [(UINT64 + d) * k for d in (-1, 0, 1)
+              for k in (1, 2, 3, 7, 65521, 2 * 3 * 5 * 7, 65519 * 65521)] + [
+        n for p in (3, 65521) for n in powers_across(p, UINT64)
+    ]:
+        if n not in seen:
+            seen.add(n)
+            out.append(n)
     return out
+
+
+def powers_across(p, edge):
+    # p**k either side of edge, and two of them times a further prime
+    k = edge.bit_length() // p.bit_length()
+    while p**k < edge:
+        k += 1
+    return [p ** (k - 2), p ** (k - 1), p**k, p ** (k + 1),
+            p ** (k - 1) * 65537, p ** (k - 1) * 2]
 
 
 class TestScreenAgainstRunGcds:

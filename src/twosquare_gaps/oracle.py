@@ -11,10 +11,13 @@ membership three independent ways:
                         gcds above); when one
                         p = 3 (mod 4) among them sits at odd valuation,
                         classify answers without running rho.
-* membership_sieve()    parity sieve over a window: odd part 3 mod 4, or
-                        some p = 3 (mod 4) up to sqrt(hi) at odd power;
-                        2, 3 and 7 start from a periodic tile, and the
-                        primes that hit the window at most 64 times
+* membership_sieve()    parity sieve over a window that starts as all
+                        members and clears each n with odd part 3 mod 4
+                        or some p = 3 (mod 4) up to sqrt(hi) at odd
+                        power; 2, 3 and 7 start from a periodic tile,
+                        the strided primes above the cube root of hi
+                        share one restore of their p**2-multiples, and
+                        the primes that hit the window at most 64 times
                         share one chunked vector pass
 * certify_non_membership()  certificate search against a caller-supplied
                         prime list, no factorization
@@ -36,6 +39,7 @@ import numpy as np
 from .arith import (
     DEFAULT_EFFORT,
     CapacityError,
+    _iroot,
     _large_factors,
     _prime_array,
     _small_factors,
@@ -301,23 +305,36 @@ def _prime_table(limit: int) -> np.ndarray:
     return primes[primes % 4 == 3]
 
 
-_TILE_PERIOD = 16 * 9 * 49
+_TILE_PERIOD = 64 * 81 * 49
 
 
 @lru_cache(maxsize=None)
 def _small_prime_tile() -> np.ndarray:
-    # the non-members that 2, 3 and 7 decide alone, over two periods of
-    # 7056: entry i stands for every n = i (mod 7056), and a window
+    # the integers that 2, 3 and 7 do not rule out alone, over two periods
+    # of 254016: entry i stands for every n = i (mod 254016), and a window
     # starting at any phase copies its first period with one slice
-    tile = np.zeros(2 * _TILE_PERIOD, dtype=bool)
-    # odd part 3 mod 4 at v_2 = 0, 1, 2
-    for first, step, _ in _two_power_hits(0, 2 * _TILE_PERIOD, 0, 4):
-        tile[first::step] = True
-    # v_p == 1: the multiples of p that p**2 does not divide
-    for p in (3, 7):
-        for r in range(p, p * p, p):
-            tile[r :: p * p] = True
+    tile = np.ones(2 * _TILE_PERIOD, dtype=bool)
+    # odd part 3 mod 4 at v_2 = 0, ..., 4
+    for first, step, _ in _two_power_hits(0, 2 * _TILE_PERIOD, 0, 6):
+        tile[first::step] = False
+    # v_p == e: the multiples of p**e that p**(e+1) does not divide
+    for p, e in ((3, 1), (3, 3), (7, 1)):
+        for r in range(p**e, p ** (e + 1), p**e):
+            tile[r :: p ** (e + 1)] = False
     return tile
+
+
+def _hit_positions(
+    starts: np.ndarray, steps: np.ndarray, counts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # s + t*q for t = 0, ..., count - 1 of each (s, q, count) in turn, and
+    # the q of each entry
+    steps = steps.repeat(counts)
+    pos = np.arange(len(steps))
+    pos -= (counts.cumsum() - counts).repeat(counts)
+    pos *= steps
+    pos += starts.repeat(counts)
+    return pos, steps
 
 
 def membership_sieve(lo: int, hi: int) -> np.ndarray:
@@ -325,37 +342,43 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
     of two squares.
 
     A parity sieve on the Fermat-Euler criterion that strides over the
-    window and divides none of its values.  n is marked a non-member
+    window and divides none of its values.  n is cleared as a non-member
     when its odd part is 3 mod 4, or when some prime p = 3 (mod 4) with
     p <= isqrt(hi) divides it to an odd power.  That is exact: n <= hi
     has at most one prime factor above isqrt(hi), and once every smaller
     p = 3 (mod 4) has even valuation, that factor is 3 mod 4 exactly
     when the odd part of n is.
 
-    The window starts as copies of a cached tile of period 16 * 9 * 49
-    that holds the odd parts 3 mod 4 at v_2 <= 2 and v_3 = v_7 = 1.
-    Higher powers of two come from _two_power_hits, the two-power pass
-    the tile and the covering walk share: one stride of 2**(k+2) per k
-    while that stride is shorter than the window, then the few multiples
-    of 2**k left, each decided alone.  Each prime p = 3 (mod 4) below
-    max(8, width / 64) keeps a parity mask, flipped at every multiple of
-    the next powers of p, in one buffer reused by all primes.  For 3 and
-    7 the mask is over the multiples of p**3 (v_p = 2 is even).  Every
-    other such prime marks all its multiples with one strided write, and
-    its mask rewrites only the multiples of p**2 from what they held
-    before; where the window holds at most one of them, it is decided
-    alone.  A larger prime hits the window 64 times at most; those
+    The window holds the members: it starts as copies of a cached tile of
+    period 64 * 81 * 49, True except at the odd parts 3 mod 4 with
+    v_2 <= 4 and at v_3 = 1, v_3 = 3 and v_7 = 1, and every later pass
+    only clears entries.  Higher powers of two come from _two_power_hits,
+    the two-power pass the tile and the covering walk share: one stride
+    of 2**(k+2) per k >= 5 while that stride is shorter than the window,
+    then the few multiples of 2**k left, each decided alone.  The primes
+    p = 3 (mod 4) below max(8, width / 64) are the loop primes.  3 and 7
+    keep a parity mask over the multiples of 3**5 and 7**3, flipped at
+    every multiple of the next powers of p, in one buffer reused by all
+    primes, and each mask clears as view > odd (view AND NOT odd).  Every
+    other loop prime clears all its multiples with one strided write.
+    One with p**3 <= hi rewrites the multiples of p**2 from what they
+    held before and its own mask; where the window holds at most one of
+    them, it is decided alone.  One with p**3 > hi divides each multiple
+    of p**2 in the window exactly twice, so all those primes share one
+    snapshot of their p**2-multiples, written back after their strided
+    writes.  A larger prime hits the window 64 times at most; those
     primes take their valuation parity together, one entry per (prime,
     hit), in a vector pass run in chunks of about 2**16 entries.
 
     Cost: about width * loglog(hi) element operations plus one Python
-    step per prime p = 3 (mod 4) below max(8, width / 64), one per chunk
-    and one per power of 2 up to the width; memory is the window's bytes
-    plus a few words per prime up to isqrt(hi) and per chunk entry.  The
-    prime table is cached across calls; the first call near the value
-    cap builds it in about 0.2 s and ~50 MB.  Width above 2**26 or hi
-    above 2**50 raises CapacityError.  lo and hi are read through
-    operator.index, so numpy integers work and floats raise TypeError.
+    step per loop prime (a few more with p**3 <= hi), one per chunk and
+    one per power of 2 up to the width; memory is the window's bytes
+    plus a few words per prime up to isqrt(hi), per chunk entry and per
+    multiple of p**2 of a loop prime with p**3 > hi.  The prime table is
+    cached across calls; the first call near the value cap builds it in
+    about 0.2 s and ~50 MB.  Width above 2**26 or hi above 2**50 raises
+    CapacityError.  lo and hi are read through operator.index, so numpy
+    integers work and floats raise TypeError.
     """
     lo, hi = operator.index(lo), operator.index(hi)
     if lo < 1 or hi < lo:
@@ -365,50 +388,65 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
         raise CapacityError(f"window width {width} exceeds {_SIEVE_WIDTH_CAP}")
     if hi > _SIEVE_VALUE_CAP:
         raise CapacityError(f"upper end {hi} exceeds {_SIEVE_VALUE_CAP}")
-    bad = np.empty(width, dtype=bool)
+    good = np.empty(width, dtype=bool)
     phase = lo % _TILE_PERIOD
     filled = min(width, _TILE_PERIOD)
-    bad[:filled] = _small_prime_tile()[phase : phase + filled]
+    good[:filled] = _small_prime_tile()[phase : phase + filled]
     while filled < width:
         # filled is a whole number of periods, so the prefix repeats
         copied = min(filled, width - filled)
-        bad[filled : filled + copied] = bad[:copied]
+        good[filled : filled + copied] = good[:copied]
         filled += copied
-    for first, step, _ in _two_power_hits(lo, width, 3, hi.bit_length() + 2):
-        bad[first::step] = True
+    for first, step, _ in _two_power_hits(lo, width, 5, hi.bit_length() + 2):
+        good[first::step] = False
     primes = _primes_3_mod_4(math.isqrt(hi))
     split = primes.searchsorted(max(8, -(-width // _FEW_HITS)))
-    # the longest view is over the multiples of 27
-    buffer = np.empty(width // 27 + 1, dtype=bool)
-    for p in primes[:split].tolist():
-        # view[i] is m = lo + s + i*q, q = p**k; parity[i] ends up as
-        # v_p(m) odd.  Parity stays per prime: a mask shared across primes
-        # would let two odd valuations cancel (21 = 3 * 7).  The tile
-        # holds v_p = 1 for 3 and 7, and v_p = 2 is even, so their masks
-        # start at the multiples of p**3.  Every other prime marks all its
-        # multiples with one strided write, and its mask rewrites only the
-        # multiples of p**2, ORed with what they held before the write.
-        k = 3 if p <= 7 else 2
+    # the loop primes before cut have p**3 <= hi
+    cut = split
+    if split and int(primes[split - 1]) ** 3 > hi:
+        cut = primes.searchsorted(_iroot(hi, 3), side="right")
+    # the longest view is over the multiples of 11**2
+    buffer = np.empty(width // 121 + 1, dtype=bool)
+    for p in primes[:cut].tolist():
+        # view[i] is m = lo + s + i*q, q = p**k; odd[i] ends up as v_p(m)
+        # odd.  Parity stays per prime: a mask shared across primes would
+        # let two odd valuations cancel (21 = 3 * 7).  The tile holds
+        # v_3 = 1, 3 and v_7 = 1, so their masks start at 3**5 and 7**3.
+        # Every other prime clears all its multiples with one strided
+        # write, and its mask rewrites only the multiples of p**2 from
+        # what they held before the write.
+        k = 5 if p == 3 else 3 if p == 7 else 2
         q = p**k
         s = -lo % q
-        view = bad[s::q]
+        view = good[s::q]
         if len(view) > 1:
-            parity = buffer[: len(view)]
-            parity.fill(k % 2)
+            odd = buffer[: len(view)]
+            odd.fill(k % 2)
             base = (lo + s) // q
             stride = p
             # once p**j has no multiple among the bases, no higher power has
-            while (first := -base % stride) < len(parity):
-                flip = parity[first::stride]
+            while (first := -base % stride) < len(odd):
+                flip = odd[first::stride]
                 np.logical_not(flip, out=flip)
                 stride *= p
-            parity |= view
+            keep = np.greater(view, odd, out=odd)
         else:
             # at most one multiple of q in the window: decide it alone
-            parity = len(view) == 1 and bool(view[0] or valuation(lo + s, p) % 2)
+            keep = len(view) == 1 and bool(view[0]) and not valuation(lo + s, p) % 2
         if k == 2:
-            bad[-lo % p :: p] = True
-        view[...] = parity
+            good[-lo % p :: p] = False
+        view[...] = keep
+    if cut < split:
+        # n = p*p*t in the window has t <= hi / p**2 < p, so v_p(n) = 2,
+        # and no other prime p' with p'**3 > hi divides n, as t < p'
+        restored = primes[cut:split]
+        squares = restored * restored
+        starts = -lo % squares
+        pos, _ = _hit_positions(starts, squares, (width - 1 - starts) // squares + 1)
+        saved = good[pos]
+        for p in restored.tolist():
+            good[-lo % p :: p] = False
+        good[pos] = saved
     # a prime p >= width / _FEW_HITS hits the window _FEW_HITS times at
     # most, at n = lo + s + t*p.  All such primes share one vector pass
     # with one entry per (prime, hit), so each entry keeps its own parity
@@ -426,13 +464,8 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
         # primes a..b-1: every one whose entries end within
         # _CHUNK_ENTRIES of the chunk's first entry
         b = ends.searchsorted(ends[a] - counts[a] + _CHUNK_ENTRIES, side="right")
-        c = counts[a:b]
-        p = primes[a:b].repeat(c)
         # entry t of a prime (t = 0, 1, ...) sits at s + t*p
-        pos = np.arange(ends[a] - c[0], ends[b - 1])
-        pos -= (ends[a:b] - c).repeat(c)
-        pos *= p
-        pos += starts[a:b].repeat(c)
+        pos, p = _hit_positions(starts[a:b], primes[a:b], counts[a:b])
         # m = n / p**k: the entries that p does not divide have
         # v_p(n) = k, and the others divide again
         m = (pos + lo) // p
@@ -440,9 +473,9 @@ def membership_sieve(lo: int, hi: int) -> np.ndarray:
         while len(m):
             r = m % p
             if k % 2:
-                bad[pos[r != 0]] = True
+                good[pos[r != 0]] = False
             deeper = r == 0
             pos, m, p = pos[deeper], m[deeper] // p[deeper], p[deeper]
             k += 1
         a = b
-    return np.logical_not(bad, out=bad)
+    return good

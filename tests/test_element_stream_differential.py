@@ -146,6 +146,9 @@ def certified_tables(draw):
 @settings(max_examples=300, deadline=None)
 @example(([TwoPowerForm(0)], [0] * 3, 2), None)  # elements 3, 4, 5: stops at offset 2
 @example(([OddValuation(3, 1)], [0], 2), 0)
+# elements 42, 43, 44 with oracle_limit = base + 2: the oracle checks 43,
+# the element at the limit, and skips 44
+@example(([OddValuation(3, 1), TwoPowerForm(0), TwoPowerForm(2)], [0, 1, 2], 41), 43)
 @given(
     certified_tables(),
     st.one_of(st.none(), st.integers(-5, 10**6), st.just(ORACLE_VALUE_LIMIT)),

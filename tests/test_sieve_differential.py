@@ -14,6 +14,7 @@ Two test-only references:
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -187,10 +188,11 @@ def test_widths_at_the_single_hit_boundary(p):
                 assert_as_reference(lo, hi)
 
 
-@pytest.mark.parametrize("q", [27, 81, 343, 2401])
+@pytest.mark.parametrize("q", [27, 81, 243, 729, 343, 2401])
 def test_windows_ending_on_multiples_of_cubes(q):
-    # 3 and 7 keep masks over the multiples of 27 and 343 only; these
-    # windows start at, end at and straddle multiples of p**3 and p**4
+    # the tile holds v_3 = 1, 3 and v_7 = 1, and 3 and 7 keep masks over
+    # the multiples of 243 and 343 only; these windows start at, end at
+    # and straddle multiples of 3**3 to 3**6, 7**3 and 7**4
     for n in (q, 2 * q, q * q, q * (10**6 + 1), q * (2**30 + 1), q * (2**44 // q)):
         for width in (1, 2, q - 1, q, q + 1, 2 * q + 1, 1000, 4097):
             for lo, hi in _around(n, width):
@@ -211,12 +213,37 @@ def test_windows_around_multiples_of_p_squared(p):
 
 
 def test_windows_straddling_tile_periods():
+    # multiples of 16 * 9 * 49, a divisor of the tile's period
     period = 16 * 9 * 49
     for c in (1, 2, 3, 1000, 10**9, 2**30 + 1):
         n = c * period
         for width in (1, 2, period - 1, period, period + 1, 2 * period + 3, 5 * period):
             for lo, hi in _around(n, width):
                 assert_as_reference(lo, hi)
+
+
+def test_windows_straddling_wheel_periods():
+    # the tile's period since it holds v_2 <= 4 and v_3 = 3 too
+    period = 64 * 81 * 49
+    for c in (1, 2, 3, 1000, 10**6 + 1, 2**30 + 1):
+        n = c * period
+        for width in (1, 2, 1000, period - 1, period, period + 1):
+            for lo, hi in _around(n, width):
+                assert_as_reference(lo, hi)
+    for lo in (1, period - 5, 3 * period + 1):
+        assert_as_reference(lo, lo + 2 * period + 3)
+
+
+@pytest.mark.parametrize("p", [103, 131, 251, 1019])
+@pytest.mark.parametrize("width", [1 << 16, 1 << 20])
+def test_windows_ending_around_loop_prime_cubes(p, width):
+    # p is a loop prime at both widths (p < width / _FEW_HITS).  At
+    # hi = p**3 - 1 it joins the loop primes above the cube root of hi,
+    # which share one restore of their p**2-multiples; at p**3 and
+    # p**3 + 1 it keeps its own parity mask
+    assert p % 4 == 3 and is_prime(p) and p < width // _FEW_HITS
+    for hi in (p**3 - 1, p**3, p**3 + 1):
+        assert_as_reference(max(1, hi - width + 1), hi)
 
 
 def test_default_segments_below_2_24():
@@ -279,6 +306,24 @@ def test_wide_windows_high_up(k):
     assert_as_reference(lo, lo + (1 << 20) - 1)
 
 
+@pytest.mark.parametrize("k", [36, 38, 40, 41])
+def test_wide_windows_with_restored_primes(k):
+    # In a default segment at 2**36 to 2**41 the loop primes reach
+    # 2**20 / _FEW_HITS = 2**14, above the cube root of hi, and those
+    # above it share one restore.  Each of the three windows holds n, a
+    # multiple of p**2 for the largest loop prime p, and most hold other
+    # restored primes' p**2-multiples too.
+    width = DEFAULT_SEGMENT_SIZE
+    loop = _primes_3_mod_4(width // _FEW_HITS - 1)
+    p = int(loop[-1])
+    n = p * p * (2**k // (p * p))
+    for lo in (n - width // 2, n - width + 1, n):
+        hi = lo + width - 1
+        restored = loop[loop**3 > hi]
+        assert p in restored
+        assert_as_reference(lo, hi)
+
+
 def test_traced_peak_per_window_entry():
     # a pass over every (prime, hit) entry at once holds several int64
     # arrays per entry: ~14 bytes per window entry here, against ~5 for
@@ -293,3 +338,33 @@ def test_traced_peak_per_window_entry():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * width
+
+
+def sieve_line_events(lo: int, hi: int) -> int:
+    # line events in membership_sieve's own frame: its Python steps
+    code = membership_sieve.__code__
+    events = 0
+
+    def tracer(frame, event, arg):
+        nonlocal events
+        if frame.f_code is not code:
+            return None
+        events += event == "line"
+        return tracer
+
+    sys.settrace(tracer)
+    try:
+        membership_sieve(lo, hi)
+    finally:
+        sys.settrace(None)
+    return events
+
+
+def test_python_steps_in_the_top_segment_below_2_24():
+    # Every loop prime up to isqrt(hi) = 4096 used to take its own parity
+    # mask or lone valuation: 3,487 line events here on Python 3.11.
+    # Those above the cube root of hi (256) share one restore and take
+    # two line events each: 1,172.
+    lo, hi = (1 << 24) - (1 << 20), (1 << 24) - 1
+    membership_sieve(lo, hi)
+    assert sieve_line_events(lo, hi) < 1600

@@ -148,9 +148,9 @@ def richards_construction(y: int) -> Construction:
 def _covering_walk(
     modulus: FactoredInteger, shift: int, lo: int, hi: int
 ) -> tuple[list[_Certificate], list[int | None], dict[int, int], int | None]:
-    """The certificates of offsets lo..hi, each listed once; at table index
-    j - lo the index in that list of offset j's certificate, None where no
-    condition matches; each odd prime's largest pinned odd valuation on
+    """Every certificate the walk pins on lo..hi, each listed once; at
+    table index j - lo the index in that list of offset j's certificate,
+    None where no condition matches; each odd prime's largest pinned odd valuation on
     lo..hi (0 if none); and the least offset left uncovered (None if none).
 
     An offset keeps the first odd valuation the modulus pins (shift + j
@@ -168,8 +168,9 @@ def _covering_walk(
     write their own odd valuation or put back the entry the slice
     covered.  A prime with at most one multiple in the window takes one
     step, and a prime at exponent 1 pins nothing.  Each progression and
-    each (p, k) pinned is listed once, and dropped at the end if later
-    writers cover all its offsets.  The shift is reduced once, by
+    each (p, k) pinned is listed once and kept, also where later writers
+    cover all its offsets: on a Richards window 1..Y none is, since
+    (p, k) is the only certificate of offset (p^k + 1)/4.  The shift is reduced once, by
     value(P); the modulus's remainder tree gives its residue mod each
     p^e.  Callers pass a validated modulus or one prime power of one, so
     no prime is re-checked.
@@ -221,10 +222,6 @@ def _covering_walk(
             else:
                 table[i2] = old
         pinned[p] = max(at)
-    used = sorted(set(table).difference([None]))
-    if len(used) < len(certs):
-        certs = [certs[i] for i in used]
-        table = list(map(dict(zip(used, range(len(used)))).get, table))
     hole = lo + table.index(None) if None in table else None
     return certs, table, pinned, hole
 

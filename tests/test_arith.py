@@ -3,9 +3,7 @@ import inspect
 import math
 import random
 import re
-import signal
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -30,6 +28,8 @@ from twosquare_gaps.arith import (
     valuation,
 )
 from twosquare_gaps.oracle import Unknown, classify
+
+from deadlines import deadline
 
 
 def naive_is_prime(n):
@@ -379,28 +379,6 @@ class TestFactorize:
         assert prod == n
 
 
-class Overrun(Exception):
-    pass
-
-
-@contextmanager
-def deadline(seconds: float):
-    """Raise Overrun in the body once `seconds` have passed (SIGALRM)."""
-    if not hasattr(signal, "setitimer"):
-        pytest.skip("needs SIGALRM")
-
-    def on_alarm(signum, frame):
-        raise Overrun
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 # semiprimes whose factors are all above the 2**16 trial-division bound
 SEMIPRIMES = (
     1000033 * 3000029,
@@ -415,7 +393,7 @@ class TestBrentRhoBudget:
     def test_every_effort_up_to_200_returns(self):
         for n in SEMIPRIMES:
             for effort in range(201):
-                with deadline(2.0):
+                with deadline(2.0, "call"):
                     d = _brent_rho(n, effort, 0)
                 assert d is None or (1 < d < n and n % d == 0)
 
@@ -427,14 +405,14 @@ class TestBrentRhoBudget:
     )
     @example(n=1000033 * 3000029, effort=50, seed=0)
     def test_factorize_returns_within_budget(self, n, effort, seed):
-        with deadline(2.0):
+        with deadline(2.0, "call"):
             fac = factorize(n, effort=effort, seed=seed)
         assert fac.residual in (1, n)
 
     def test_effort_50_classify(self):
         # the budget used to run out partway through a batch and spin
         n = 1000033 * 3000029
-        with deadline(2.0):
+        with deadline(2.0, "call"):
             verdict = classify(n, effort=50)
         assert verdict == Unknown(n)
 

@@ -306,6 +306,32 @@ def test_unwritable_out_exit_1(tmp_path, argv, target):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--limit", "100"],
+        ["richards", "--y", "5"],
+        ["verify", "DOC"],
+        ["halve", "--y", "10"],
+        ["bounds", "--y-list", "10"],
+    ],
+    ids=["scan", "richards", "verify", "halve", "bounds"],
+)
+def test_out_directory_exit_1_in_process(capsys, tmp_path, argv):
+    # main itself reports the OSError of writing to a directory: stderr
+    # as without --out, then one line
+    doc = tmp_path / "c.json"
+    doc.write_text(construction_to_json(richards_construction(5)))
+    argv = [str(doc) if a == "DOC" else a for a in argv]
+    _, _, err_without = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith(err_without)
+    line = err[len(err_without) :]
+    assert line.startswith("cannot write output: [Errno") and line.count("\n") == 1
+    assert line.endswith(f"{str(tmp_path)!r}\n")
+
+
 @pytest.mark.parametrize("value", ["1/0", "abc", "1e-10000000", "5E+10001", " 1_0e-1_0000_0 "])
 @pytest.mark.parametrize(
     "argv", [["halve", "--y", "10"], ["bounds", "--y-list", "10"]], ids=["halve", "bounds"]

@@ -110,13 +110,16 @@ def walk_entries(table: list) -> list:
 
 
 def assert_lists_each_certificate_once(certs: list, table: list) -> None:
-    # the table's indices are exactly range(len(certs)), and no two
-    # listed certificates are equal
-    assert sorted(set(table).difference([None])) == list(range(len(certs)))
+    # the table's indices lie in range(len(certs)), and no two listed
+    # certificates are equal; a certificate that later writers cover at
+    # every offset of the window stays listed
+    assert set(table).difference([None]) <= set(range(len(certs)))
     assert len(set(certs)) == len(certs)
 
 
-def assert_same_walk(modulus: FactoredInteger, shift: int, lo: int, hi: int) -> None:
+def assert_same_walk(
+    modulus: FactoredInteger, shift: int, lo: int, hi: int
+) -> tuple[list, list]:
     certs, table, pinned, hole = _covering_walk(modulus, shift, lo, hi)
     want_table, want_pinned, want_hole = reference_walk(modulus, shift, lo, hi)
     got_table = [None if i is None else certs[i] for i in table]
@@ -124,6 +127,14 @@ def assert_same_walk(modulus: FactoredInteger, shift: int, lo: int, hi: int) -> 
     assert list(pinned.items()) == list(want_pinned.items())
     assert hole == want_hole
     assert_lists_each_certificate_once(certs, table)
+    return certs, table
+
+
+def assert_same_richards_walk(c: Construction) -> None:
+    # on a whole Richards window 1..Y every listed certificate certifies
+    # some offset: the table's indices are exactly range(len(certs))
+    certs, table = assert_same_walk(c.modulus, c.shift, 1, c.y)
+    assert sorted(set(table).difference([None])) == list(range(len(certs)))
 
 
 def reference_certificate(c: Construction, offset: int) -> CoveringCertificate | None:
@@ -279,12 +290,23 @@ def walk_line_events(walk, *args) -> int:
 class TestWalk:
     def test_richards_up_to_500(self, richards_sweep):
         for c in richards_sweep:
-            assert_same_walk(c.modulus, c.shift, 1, c.y)
+            assert_same_richards_walk(c)
 
     @pytest.mark.parametrize("y", [2300, 2700, 2850])
     def test_richards_large(self, y):
-        c = richards_construction(y)
-        assert_same_walk(c.modulus, c.shift, 1, y)
+        assert_same_richards_walk(richards_construction(y))
+
+    def test_richards_certificate_owns_an_offset(self, richards_sweep):
+        # 4(a + j) = 4j - 1 (mod P), so offset j0 = (p^k + 1)/4 has
+        # 4j0 - 1 = p^k and (p, k) as its only certificate; p^k <= 4j - 1
+        # at any offset j it certifies, so j0 lies in 1..Y
+        for c in richards_sweep:
+            certs, table, _, _ = _covering_walk(c.modulus, c.shift, 1, c.y)
+            for i, nm in enumerate(certs):
+                assert isinstance(nm, OddValuation)
+                j0 = (nm.p**nm.k + 1) // 4
+                assert 1 <= j0 <= c.y
+                assert table[j0 - 1] == i
 
     def test_single_offsets(self, richards_sweep):
         # covering_certificate's one-offset windows
@@ -297,6 +319,14 @@ class TestWalk:
         for lo, hi in ((1, 1), (1, 9), (4, 30)):
             assert_same_walk(empty, 1, lo, hi)
         assert _covering_walk(empty, 1, 4, 30) == ([], [None] * 27, {}, 4)
+
+    def test_overwritten_certificate_stays_listed(self):
+        # (3, 1) covers the two-power form's only offset, and the walk
+        # still lists the form, which the table does not index
+        m = FactoredInteger(((2, 12), (3, 2)))
+        certs, table, _, _ = _covering_walk(m, 2, 1, 1)
+        assert certs == [TwoPowerForm(0), OddValuation(3, 1)]
+        assert table == [1]
 
     def test_python_steps(self):
         # the reference walk steps through every multiple of each odd prime
@@ -437,7 +467,7 @@ def walk_windows(draw):
 # one multiple of 3, shift + 1 = 9, and the next one just past the window
 @example((FactoredInteger(((3, 2),)), 8, 1, 3))
 # shift + 1 = 3 is 3 * 2^0 and has v_3 = 1: (3, 1) covers the two-power
-# form's only offset, so the walk lists (3, 1) alone
+# form's only offset, so the walk lists both and indexes (3, 1) alone
 @example((FactoredInteger(((2, 12), (3, 2))), 2, 1, 1))
 def test_walk_windows(window):
     assert_same_walk(*window)

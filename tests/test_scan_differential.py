@@ -177,3 +177,14 @@ class TestPinned:
         got = scan_records(limit, segment_size)
         assert got == reference_scan(limit)
         assert (got[-1].s_next == 685576) == (limit >= 685576)
+
+
+def test_segment_opens_inside_a_record_gap():
+    # the second segment starts at 1853867, inside the record gap
+    # (1853866, 1853914): its first run of zero units is at unit 0, the
+    # leading gap, which the run search must skip
+    limit, size = 1_900_000, 1_853_866
+    assert segment_start(1853867, size) == 1853867
+    got = scan_records(limit, size)
+    assert GapRecord(1853866, 1853914, 48) in got
+    assert got == scan_records(limit) == reference_scan(limit)

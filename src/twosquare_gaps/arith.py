@@ -86,6 +86,15 @@ def _small_prime_blocks() -> list[tuple[list[int], int]]:
     return [(run, math.prod(run)) for run in runs]
 
 
+@lru_cache(maxsize=None)
+def _small_prime_table() -> bytes:
+    # byte n is 1 exactly when n is a prime below 2**16
+    table = bytearray(_SMALL_PRIME_LIMIT)
+    for p in sieve_primes(_SMALL_PRIME_LIMIT):
+        table[p] = 1
+    return bytes(table)
+
+
 def prime_count(x: int) -> int:
     """pi(x), the number of primes <= x."""
     return len(_prime_array(x))
@@ -126,6 +135,7 @@ _RANDOM_ROUNDS = 64  # error probability below 4**-64
 def is_prime(n: int, seed: int = 0) -> bool:
     """Primality test.
 
+    n below 2**16 is looked up in a table of the primes sieved once.
     Deterministic for n below ~3.3e24 via fixed Miller-Rabin witness sets;
     beyond that, 64 seeded random rounds (reproducible for a given seed).
     n is read through operator.index, so numpy integers work and floats
@@ -134,8 +144,8 @@ def is_prime(n: int, seed: int = 0) -> bool:
     n = operator.index(n)
     if n < 2:
         return False
-    if n < 4:
-        return True
+    if n < _SMALL_PRIME_LIMIT:
+        return _small_prime_table()[n] == 1
     if n % 2 == 0:
         return False
     d = (n - 1) >> (r := valuation(n - 1, 2))

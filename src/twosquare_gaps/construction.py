@@ -9,8 +9,9 @@ value(P), and takes a mod each p^e from the modulus's remainder tree.
 The residue walk writes its table by list slices: for the prime 2 the
 progressions a + j = 3 * 2^k (mod 2^(k+2)) of the two-power pass the
 membership sieve also uses, and for each odd prime p one slice of
-valuation 1 over the offsets j = -a (mod p), with a Python step only at
-the multiples of p^2: about sum y/p^2 steps, and one for each prime
+valuation 1 over the offsets j = -a (mod p), then one slice per
+valuation level t over the multiples of p^t while p^t is shorter than
+the window: about log_p y steps for each prime, and one for each prime
 with at most one multiple in the window.  The walk also yields each odd
 prime's largest pinned odd valuation for the halving module.  It lists
 its bare certificates once each, and its table holds each offset's index
@@ -18,12 +19,13 @@ in that list; the public functions pair them with offsets.  One
 generator checks the elements of every certified interval, the
 covering's and the halving's, one at a time, so a caller streams them
 and keeps none.  It runs each certificate's residue test on a remainder
-of the interval's base, taken once per listed certificate by a direct %,
-and builds an element integer only for the oracle.  The document section
-writes the construction and halving documents and the verify report from
-row templates straight from the walk's table, each listed certificate's
-row text rendered once, and reads the first, shifts in decimal past
-CPython's int<->str limit.
+of the interval's base, taken for every listed certificate by one
+remainder tree over their own moduli, and builds an element integer
+only for the oracle.  The document section writes the construction and
+halving documents and the verify report from row templates straight
+from the walk's table, each listed certificate's row text rendered
+once, and reads the first, shifts in decimal past CPython's int<->str
+limit.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .arith import (
     _MR_LADDER,
     _decimal_to_int,
     _int_to_decimal,
+    _product_tree,
     _remainders,
     integer_log,
     mod_inverse,
@@ -164,13 +167,19 @@ def _covering_walk(
     are disjoint, as each offset has one 2-adic valuation.  Then the odd
     primes, largest first.  Of two consecutive multiples of p one has
     v_p = 1, so one slice writes (p, 1) over every multiple of p in the
-    window, and only the multiples of p^2 take a Python step each, to
-    write their own odd valuation or put back the entry the slice
-    covered.  A prime with at most one multiple in the window takes one
-    step, and a prime at exponent 1 pins nothing.  Each progression and
-    each (p, k) pinned is listed once and kept, also where later writers
-    cover all its offsets: on a Richards window 1..Y none is, since
-    (p, k) is the only certificate of offset (p^k + 1)/4.  The shift is reduced once, by
+    window, once the entries under the multiples of p^2 are kept.  Then
+    one slice per level t = 2, 3, ... while p^t is shorter than the
+    window writes over the multiples of p^t: (p, t) at odd t, listed only
+    where some offset has v_p = t exactly, and the kept entries back at
+    even t and at t = e.  The one multiple of p^t left once p^t reaches
+    the width is decided alone by its residue mod p^e, as in the
+    two-power pass, so a prime takes about log_p of the width in steps
+    whatever e, and lists its certificates in ascending k.  A prime with
+    at most one multiple in the window takes one step, and a prime at
+    exponent 1 pins nothing.  Each progression and each (p, k) pinned is
+    listed once and kept, also where later writers cover all its
+    offsets: on a Richards window 1..Y none is, since (p, k) is the only
+    certificate of offset (p^k + 1)/4.  The shift is reduced once, by
     value(P); the modulus's remainder tree gives its residue mod each
     p^e.  Callers pass a validated modulus or one prime power of one, so
     no prime is re-checked.
@@ -204,24 +213,38 @@ def _covering_walk(
                 certs.append(OddValuation._trusted(p, k))
                 pinned[p] = k
             continue
-        # k -> index in certs of (p, k)
-        at = {1: len(certs)}
+        # the entries under the multiples of p^2, which the slice of
+        # valuation 1 covers
+        s2 = -x % pp
+        kept = table[s2::pp]
+        table[i::p] = [len(certs)] * len(range(i, n, p))
         certs.append(OddValuation._trusted(p, 1))
-        at_pp = range(-x % pp, n, pp)
-        kept = table[at_pp.start::pp]
-        table[i::p] = [at[1]] * len(range(i, n, p))
-        for i2, old in zip(at_pp, kept):
-            # k = 0 where p^e divides shift + j
-            r = (x + i2) % pe
-            k = valuation(r, p) if r else 0
+        pinned[p] = 1
+        # level t writes over the multiples of p^t: (p, t) at odd t < e,
+        # the kept entries at even t and at t = e, where p^e pins nothing
+        t, pt = 2, pp
+        while t <= e and pt < n:
+            st = -x % pt
+            if t % 2 == 0 or t == e:
+                table[st::pt] = kept[(st - s2) // pp :: pt // pp]
+            elif len(range(st, n, pt)) > len(range(-x % (pt * p), n, pt * p)):
+                # some offset has v_p = t exactly
+                table[st::pt] = [len(certs)] * len(range(st, n, pt))
+                certs.append(OddValuation._trusted(p, t))
+                pinned[p] = t
+            t, pt = t + 1, pt * p
+        # once p^t reaches the width, its one multiple (if any) is decided
+        # alone by its residue mod p^e, where v_p >= t
+        st = -x % pt
+        if t <= e and st < n:
+            r = (x + st) % pe
+            k = t if r % (pt * p) else valuation(r, p) if r else 0
             if k & 1:
-                if k not in at:
-                    at[k] = len(certs)
-                    certs.append(OddValuation._trusted(p, k))
-                table[i2] = at[k]
+                table[st] = len(certs)
+                certs.append(OddValuation._trusted(p, k))
+                pinned[p] = k
             else:
-                table[i2] = old
-        pinned[p] = max(at)
+                table[st] = kept[(st - s2) // pp]
     hole = lo + table.index(None) if None in table else None
     return certs, table, pinned, hole
 
@@ -287,12 +310,14 @@ def _element_checks(
 
     Each certificate is the residue test holds_mod modulo its modulus()
     q, so element j passes iff (base mod q + j) mod q does: exact integer
-    arithmetic, with base reduced once per entry of certs by a direct %,
-    not by the modulus's remainder tree, which keeps the check independent
-    of the walk.  No element integer is built except for the oracle; the
-    elements ascend, so they cross oracle_limit at most once.
+    arithmetic, with base reduced mod every entry's q by one remainder
+    tree over those q, not by the modulus's tree, which keeps the check
+    independent of the walk.  No element integer is built except for the
+    oracle; the elements ascend, so they cross oracle_limit at most once.
     """
-    reduced = [(q, base % q) for q in (cert.modulus() for cert in certs)]
+    moduli = [cert.modulus() for cert in certs]
+    # a product tree needs a leaf; zip drops the one an empty list adds
+    reduced = list(zip(moduli, _remainders(base, _product_tree(moduli or [1]))))
     # the oracle checks the offsets j <= last, where base + j <= oracle_limit
     last = len(table) if oracle_limit is None else oracle_limit - base
     for j, i in enumerate(table, 1):

@@ -147,7 +147,8 @@ class TestIsPrime:
         assert is_prime(np.int16(97)) and not is_prime(np.int8(91))
 
     def test_float_raises_type_error(self):
-        # 1.0 and 3.0 would otherwise be answered by the n < 4 shortcuts
+        # 1.0 and 3.0 would otherwise be answered by the n < 2 test and the
+        # table of small primes
         for n in (1.0, 3.0, 97.0, np.float64(97)):
             with pytest.raises(TypeError):
                 is_prime(n)

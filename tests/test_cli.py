@@ -455,11 +455,12 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
     assert code == 0
     # one covering walk, which writes its table by slices, then one inverse
     # and one residue pass per large prime of the halved modulus (above
-    # delta * y = 25) in the bad-set screen.  Residues come from three
+    # delta * y = 25) in the bad-set screen.  Residues come from four
     # remainder tree descents: the shift for the walk, then a0 and
-    # value(halved) for the screen.  One element stream checks every
-    # element, and none is small enough for the oracle: the interval
-    # starts above 10^18
+    # value(halved) for the screen, then the interval's base for the
+    # element stream, over the listed certificates' own moduli.  One
+    # element stream checks every element, and none is small enough for
+    # the oracle: the interval starts above 10^18
     doc = json.loads(target.read_text())
     large = sum(p > 25 for p, _ in doc["halved_modulus"])
     assert 0 < large < len(richards_modulus(50).factors)
@@ -467,7 +468,7 @@ def test_halve_computes_each_step_once(capsys, tmp_path, monkeypatch):
     assert calls == {
         "_covering_walk": 1,
         "mod_inverse": large,
-        "_remainders": 3,
+        "_remainders": 4,
         "_element_checks": 1,
         "_exceptional_pairs": 1,
         "_gap_interval": 1,

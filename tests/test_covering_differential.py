@@ -27,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twosquare_gaps import construction
 from twosquare_gaps.arith import (
     FactoredInteger,
     _remainders,
@@ -331,11 +332,38 @@ class TestWalk:
     def test_python_steps(self):
         # the reference walk steps through every multiple of each odd prime
         # and reads 39,353 line events here on Python 3.11; the slice walk
-        # steps only through the multiples of p^2 and reads 21,557
+        # read 21,557 when it stepped through the multiples of p^2
         c = richards_construction(2300)
         args = (c.modulus, c.shift, 1, c.y)
         assert walk_line_events(_covering_walk, *args) < 30000
         assert walk_line_events(reference_walk, *args) > 30000
+
+    def test_one_slice_per_valuation_level(self):
+        # a step per multiple of p^2 read 21,555 line events here; one slice
+        # per valuation level t while p^t is shorter than the window reads
+        # 11,410 on Python 3.11
+        c = richards_construction(2300)
+        assert walk_line_events(_covering_walk, c.modulus, c.shift, 1, c.y) < 12000
+
+    def test_valuation_calls(self, richards_sweep, monkeypatch):
+        # a step per multiple of p^2 took 335 valuations at Y = 2300.  Now
+        # only a lone multiple of p^t (p^t at least the width) with v_p > t
+        # takes one; 4(a + j) = 4j - 1 (mod P) puts p^(t+1) below 4Y, so
+        # p < 4 on a Richards window
+        calls = []
+        real = construction.valuation
+
+        def counted(r, p):
+            calls.append(p)
+            return real(r, p)
+
+        monkeypatch.setattr(construction, "valuation", counted)
+        for c in richards_sweep + [richards_construction(y) for y in (2300, 2850)]:
+            calls.clear()
+            _covering_walk(c.modulus, c.shift, 1, c.y)
+            assert calls in ([], [3]), c.y
+            if c.y == 2300:
+                assert calls == []
 
 
 class TestCovering:
@@ -469,6 +497,14 @@ def walk_windows(draw):
 # shift + 1 = 3 is 3 * 2^0 and has v_3 = 1: (3, 1) covers the two-power
 # form's only offset, so the walk lists both and indexes (3, 1) alone
 @example((FactoredInteger(((2, 12), (3, 2))), 2, 1, 1))
+# shift + j runs over 55..107: 81 is the one multiple of 27 and has
+# v_3 = 4, so no offset has v_3 = 3 and the walk pins 1 at most
+@example((FactoredInteger(((3, 6),)), 54, 1, 53))
+# shift + j runs over 51..110, with 54, 81 and 108 the multiples of 27: at
+# e = 3 the modulus pins none of them, and at e = 4 it pins v_3 = 3 at 54
+# and 108 and nothing at 81, decided alone as 81 reaches the width
+@example((FactoredInteger(((3, 3),)), 50, 1, 60))
+@example((FactoredInteger(((3, 4),)), 50, 1, 60))
 def test_walk_windows(window):
     assert_same_walk(*window)
 

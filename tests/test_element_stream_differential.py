@@ -2,7 +2,7 @@
 
 construction._element_checks checks element base + j as its certificate's
 residue test on (base mod q + j) mod q, q the certificate's modulus(),
-with base reduced once per entry of the certificate list, and builds
+with base reduced mod each entry's q by one remainder tree, and builds
 base + j only for the oracle.  The reference below is the loop it
 replaced: it builds every element and checks the certificate on the
 integer itself, here by the definition (v_p(n) = k, or v_2(n) = k with
@@ -146,6 +146,10 @@ def certified_tables(draw):
 @settings(max_examples=300, deadline=None)
 @example(([TwoPowerForm(0)], [0] * 3, 2), None)  # elements 3, 4, 5: stops at offset 2
 @example(([OddValuation(3, 1)], [0], 2), 0)
+# a one-leaf remainder tree: base + 1 = 7 * (7 * 2^200 + 1)
+@example(([OddValuation(7, 1)], [0], 7 * (7 * 2**200 + 1) - 1), 0)
+# no certificate and no element: the tree takes a leaf 1 that nothing reads
+@example(([], [], 5), None)
 # elements 42, 43, 44 with oracle_limit = base + 2: the oracle checks 43,
 # the element at the limit, and skips 44
 @example(([OddValuation(3, 1), TwoPowerForm(0), TwoPowerForm(2)], [0, 1, 2], 41), 43)
@@ -187,8 +191,9 @@ def test_one_wrong_certificate_fails_at_its_offset(y, rnd, halve):
 
 
 def test_richards_2300_reduces_the_base_once_per_certificate(monkeypatch):
-    # one reduction of the ~13,000-bit shift per entry of the walk's
-    # certificate list, each a distinct object, not one per element
+    # one remainder of the ~13,000-bit shift per entry of the walk's
+    # certificate list, each a distinct object, not one per element: one
+    # modulus() per entry feeds the remainder tree
     calls = []
     for cls in (OddValuation, TwoPowerForm):
         real = cls.modulus
